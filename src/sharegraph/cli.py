@@ -38,6 +38,13 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sharegraph",
@@ -76,9 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="window origin timestamp (default: earliest record)")
     p.add_argument("--system", default=None,
                    help="system label for report rows (default: trace filename stem)")
-    p.add_argument("--skip-cc2", action="store_true",
-                   help="skip the triangle-based clustering coefficient")
-    p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
+    p.add_argument("--workers", type=_positive_int, default=1, help="parallel sweep workers")
     add_path_mode(p)
 
     p = sub.add_parser("distributions", help="plot-ready distribution data files")
@@ -179,7 +184,6 @@ def cmd_sweep(args, out_dir: Path) -> int:
         origin=args.origin,
         sample_fraction=_sample_fraction(args),
         master_seed=args.seed,
-        skip_cc2=args.skip_cc2,
     )
     system = args.system if args.system is not None else Path(args.trace).stem
     results = pipeline.run_sweep(trace, spec, workers=args.workers)
@@ -191,7 +195,6 @@ def cmd_sweep(args, out_dir: Path) -> int:
         "lengths": list(args.lengths), "thresholds": list(args.thresholds),
         "origin": args.origin, "system": system,
         "path_mode": args.path_mode, "path_fraction": args.path_fraction,
-        "skip_cc2": args.skip_cc2,
     }, args.seed, digest)
     return EXIT_OK
 

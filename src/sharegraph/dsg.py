@@ -9,58 +9,94 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
-from collections import defaultdict
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from typing import Mapping
 
-from .graph import Graph
+import numpy as np
+
+from .graph import BLOCK, Graph, symmetric_csr
 from .trace import TimeWindow, Trace
 
 
-@dataclass(frozen=True)
-class DataSharingGraph:
+def _check_threshold(threshold: int) -> None:
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
+
+
+class DataSharingGraph(Graph):
     """Weighted undirected user graph for one (window, threshold) pair.
 
-    ``edges`` maps each unordered pair (u, v) with u < v to the count of
-    distinct items the two users both requested. All weights are >=
-    ``threshold`` and every node has degree >= 1 by construction.
+    A CSR ``Graph`` whose ``weights`` hold, for each edge, the count of
+    distinct items its two users both requested. All weights are >=
+    ``threshold`` and every node has degree >= 1 by construction. Unlike
+    ``Graph.edges()``, ``edges`` here is the mapping (u, v) -> weight with
+    u < v.
     """
 
-    edges: dict[tuple[str, str], int]
-    threshold: int
-    window: TimeWindow | None = None
-    nodes: tuple[str, ...] = field(init=False)
+    __slots__ = ("threshold", "window")
 
-    def __post_init__(self):
-        if self.threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {self.threshold}")
-        nodes = set()
-        for (u, v), weight in self.edges.items():
+    def __init__(self, edges: Mapping[tuple[str, str], int], threshold: int,
+                 window: TimeWindow | None = None):
+        _check_threshold(threshold)
+        for (u, v), weight in edges.items():
             if u == v:
                 raise ValueError(f"self-edge not allowed: {u!r}")
             if u > v:
                 raise ValueError(f"edge key must be ordered (u < v): {(u, v)!r}")
-            if weight < self.threshold:
-                raise ValueError(f"edge {(u, v)!r} weight {weight} below threshold {self.threshold}")
-            nodes.add(u)
-            nodes.add(v)
-        object.__setattr__(self, "nodes", tuple(sorted(nodes)))
+            if weight < threshold:
+                raise ValueError(f"edge {(u, v)!r} weight {weight} below threshold {threshold}")
+        users = sorted({x for pair in edges for x in pair})
+        index = {u: i for i, u in enumerate(users)}
+        a = np.array([index[u] for u, _ in edges], dtype=np.int64)
+        b = np.array([index[v] for _, v in edges], dtype=np.int64)
+        w = np.fromiter(edges.values(), dtype=np.int64, count=len(edges))
+        self._set(tuple(users), *symmetric_csr(len(users), a, b, w))
+        self.threshold = threshold
+        self.window = window
+
+    def _derived(self, nodes, indptr, indices, weights) -> "DataSharingGraph":
+        g = super()._derived(nodes, indptr, indices, weights)
+        g.threshold = self.threshold
+        g.window = self.window
+        return g
+
+    def __eq__(self, other):
+        equal = super().__eq__(other)
+        if equal is NotImplemented or not equal:
+            return equal
+        return self.threshold == other.threshold and self.window == other.window
+
+    __hash__ = None
 
     @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def edges(self) -> dict[tuple[str, str], int]:
+        rows, cols, keep = self._upper()
+        nodes = self.nodes
+        return {(nodes[a], nodes[b]): w
+                for a, b, w in zip(rows.tolist(), cols.tolist(), self.weights[keep].tolist())}
 
     def sorted_edges(self) -> list[tuple[str, str, int]]:
-        return [(u, v, self.edges[(u, v)]) for u, v in sorted(self.edges)]
+        return [(u, v, w) for (u, v), w in self.edges.items()]
 
-    def to_graph(self) -> Graph:
-        """Unweighted view used by the metric computations."""
-        return Graph(self.edges.keys(), nodes=self.nodes)
+    def edge_weights(self) -> np.ndarray:
+        """The weight of every edge, once each, in sorted edge order."""
+        return self.weights[self._upper()[2]]
+
+    def at_threshold(self, threshold: int) -> "DataSharingGraph":
+        """The graph of the same window at a threshold no lower than this one's.
+
+        Edges lighter than ``threshold`` go, and so do the users they leave
+        isolated; the weights need no recount.
+        """
+        if threshold < self.threshold:
+            raise ValueError(f"threshold {threshold} is below this graph's {self.threshold}")
+        if threshold == self.threshold:
+            return self
+        heavy = self.weights >= threshold
+        linked = np.bincount(self.entry_rows()[heavy], minlength=self.node_count) > 0
+        g = self._restrict(linked, heavy)
+        g.threshold = threshold
+        return g
 
 
 @dataclass(frozen=True)
@@ -76,44 +112,90 @@ class WeightDistribution:
         return sum(self.counts.values())
 
 
+def _intern(values: list[str]) -> tuple[list[str], np.ndarray]:
+    """(distinct values sorted, index of each value in that order)."""
+    codes: dict[str, int] = {}
+    first = np.array([codes.setdefault(x, len(codes)) for x in values], dtype=np.int64)
+    distinct = sorted(codes)
+    rank = np.empty(len(distinct), dtype=np.int64)
+    rank[[codes[x] for x in distinct]] = np.arange(len(distinct))
+    return distinct, rank[first]
+
+
+def _pair_weights(user: np.ndarray, group_end: np.ndarray, n_users: int):
+    """Distinct user pairs (as a * n_users + b, a < b) and their shared-item counts.
+
+    ``user`` lists the distinct (item, user) incidences grouped by item with
+    users ascending inside a group; ``group_end[j]`` is the end of
+    incidence j's group. Incidence j pairs with every later one of its group.
+    Incidences are taken in runs of at most BLOCK pairs, so no temporary
+    array holds more than one run's pairs (or one incidence's, if more).
+    """
+    if not len(user):
+        return user, user
+    later = group_end - np.arange(len(user)) - 1
+    done = np.cumsum(later)
+    keys, counts = [], []
+    start = 0
+    while start < len(user):
+        before = int(done[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(done, before + BLOCK, side="right")))
+        run = later[start:stop]
+        first = np.repeat(np.arange(start, stop), run)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(run) - run, run)
+        pair = user[first] * n_users + user[first + 1 + offset]
+        k, c = np.unique(pair, return_counts=True)
+        keys.append(k)
+        counts.append(c)
+        start = stop
+    if len(keys) == 1:
+        return keys[0], counts[0]
+    pair, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    return pair, np.bincount(inverse, weights=np.concatenate(counts)).astype(np.int64)
+
+
 def build_dsg(window_trace: Trace, threshold: int, window: TimeWindow | None = None) -> DataSharingGraph:
     """Build the data-sharing graph of a window trace.
 
-    Pair weights are counted item-by-item (invert the trace to item -> users,
-    then every pair of distinct users of one item shares it), which avoids
-    touching the quadratically many user pairs that share nothing. Repeat
-    requests by the same user do not raise weights.
+    Pair weights are counted item by item: every pair of distinct users of
+    one item shares it. The pairs are expanded with array operations over the
+    window's distinct (user, item) incidences, which never touches the
+    quadratically many user pairs that share nothing. Repeat requests by the
+    same user do not raise weights. For several thresholds of one window,
+    build at the lowest and take ``at_threshold`` for the others.
     """
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
+    _check_threshold(threshold)
+    records = window_trace.records
+    users, user_idx = _intern([r.user_id for r in records])
+    _, item_idx = _intern([r.item_id for r in records])
+    n = len(users)
+    incidence = np.unique(item_idx * n + user_idx)
+    item, user = np.divmod(incidence, max(n, 1))
+    pair, weight = _pair_weights(user, np.searchsorted(item, item, side="right"), n)
 
-    item_users: dict[str, set[str]] = defaultdict(set)
-    for record in window_trace.records:
-        item_users[record.item_id].add(record.user_id)
-
-    weights: dict[tuple[str, str], int] = defaultdict(int)
-    for users in item_users.values():
-        if len(users) < 2:
-            continue
-        for u, v in combinations(sorted(users), 2):
-            weights[(u, v)] += 1
-
-    edges = {pair: w for pair, w in weights.items() if w >= threshold}
-    return DataSharingGraph(edges=edges, threshold=threshold, window=window)
+    heavy = weight >= threshold
+    a, b = np.divmod(pair[heavy], max(n, 1))
+    linked = np.zeros(n, dtype=bool)
+    linked[a] = linked[b] = True
+    new_index = np.cumsum(linked) - 1
+    g = object.__new__(DataSharingGraph)
+    g._set(tuple(users[i] for i in np.flatnonzero(linked).tolist()),
+           *symmetric_csr(int(linked.sum()), new_index[a], new_index[b], weight[heavy]))
+    g.threshold = threshold
+    g.window = window
+    return g
 
 
 def weight_distribution(g: DataSharingGraph) -> WeightDistribution:
     """Histogram the edge weights; median/mean are NaN for an empty graph."""
-    weights = sorted(g.edges.values())
-    counts: dict[int, int] = {}
-    for w in weights:
-        counts[w] = counts.get(w, 0) + 1
-    if not weights:
+    weights = g.edge_weights()
+    if not len(weights):
         return WeightDistribution(counts={}, mean=math.nan, median=math.nan)
+    values, counts = np.unique(weights, return_counts=True)
     return WeightDistribution(
-        counts=counts,
-        mean=sum(weights) / len(weights),
-        median=float(statistics.median(weights)),
+        counts=dict(zip(values.tolist(), counts.tolist())),
+        mean=int(weights.sum()) / len(weights),
+        median=float(np.median(weights)),
     )
 
 
@@ -123,12 +205,7 @@ def connected_components(g: DataSharingGraph) -> tuple[int, DataSharingGraph]:
     Size ties break toward the component containing the lexicographically
     smallest node id. An empty graph yields (0, empty graph).
     """
-    components = g.to_graph().connected_components()
-    if not components:
-        return 0, DataSharingGraph(edges={}, threshold=g.threshold, window=g.window)
-    member = set(components[0])
-    sub = {pair: w for pair, w in g.edges.items() if pair[0] in member}
-    return len(components), DataSharingGraph(edges=sub, threshold=g.threshold, window=g.window)
+    return g.largest_component()
 
 
 def dumps(g: DataSharingGraph) -> str:

@@ -1,102 +1,241 @@
-"""Minimal immutable undirected simple graph plus random-graph helpers."""
+"""Immutable undirected simple graphs in compressed sparse row (CSR) form.
+
+Node ids are interned in sorted order: node index i is the i-th smallest id,
+so index order is id order and every row lists its neighbours by ascending
+id. Each undirected edge is stored once in each endpoint's row.
+"""
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Hashable, Iterable
 
 import numpy as np
 
 Node = Hashable
 
+# Entries per temporary array in the chunked passes over pairs and paths
+# (dsg.build_dsg, metrics triangle counting): 0.5 MB per int64 array, so a
+# dense window costs time in proportion to its work but no more memory.
+BLOCK = 1 << 16
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def symmetric_csr(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None):
+    """(indptr, indices, weights) of the undirected edges a[k]-b[k] on n nodes.
+
+    Repeated edges collapse into one when unweighted; weighted edges must be
+    distinct. ``weights`` is None when ``w`` is.
+    """
+    rows = np.concatenate([a, b])
+    key = rows * n + np.concatenate([b, a])
+    if w is None:
+        key = np.unique(key)
+        weights = None
+    else:
+        order = np.argsort(key)
+        key = key[order]
+        weights = np.concatenate([w, w])[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // max(n, 1), minlength=n), out=indptr[1:])
+    return indptr, key % max(n, 1), weights
+
 
 class Graph:
-    """Undirected simple graph over hashable node ids.
+    """Undirected simple graph over sortable hashable node ids.
 
-    Adjacency sets are frozen after construction; instances are safe to
-    share across threads for concurrent read-only traversal.
+    ``indptr`` (length V + 1) and ``indices`` (length 2E) are read-only int64
+    arrays: the neighbours of node index i are
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending. ``weights`` is None or
+    holds one value per entry of ``indices``. The arrays never change after
+    construction, so instances are safe to share across threads for
+    concurrent read-only traversal.
     """
 
-    __slots__ = ("_adj", "_nodes", "_edge_count")
+    __slots__ = ("nodes", "indptr", "indices", "weights", "_index", "_neighbor_sets")
 
     def __init__(self, edges: Iterable[tuple[Node, Node]] = (), nodes: Iterable[Node] = ()):
-        adj: dict[Node, set[Node]] = {}
-        for n in nodes:
-            adj.setdefault(n, set())
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-edge not allowed: {u!r}")
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        self._adj = {u: frozenset(s) for u, s in adj.items()}
-        self._nodes = tuple(sorted(adj))
-        self._edge_count = sum(len(s) for s in self._adj.values()) // 2
+        pairs = list(edges)
+        ids = sorted({*nodes, *(x for pair in pairs for x in pair)})
+        index = {n: i for i, n in enumerate(ids)}
+        a = np.array([index[u] for u, _ in pairs], dtype=np.int64)
+        b = np.array([index[v] for _, v in pairs], dtype=np.int64)
+        loops = np.flatnonzero(a == b)
+        if loops.size:
+            raise ValueError(f"self-edge not allowed: {pairs[loops[0]][0]!r}")
+        self._set(tuple(ids), *symmetric_csr(len(ids), a, b))
+        self._index = index
 
-    @property
-    def nodes(self) -> tuple[Node, ...]:
-        return self._nodes
+    def _set(self, nodes: tuple, indptr: np.ndarray, indices: np.ndarray,
+             weights: np.ndarray | None = None) -> None:
+        self.nodes = nodes
+        self.indptr = _readonly(indptr)
+        self.indices = _readonly(indices)
+        self.weights = None if weights is None else _readonly(weights)
+        self._index = None
+        self._neighbor_sets = None
+
+    def _derived(self, nodes, indptr, indices, weights) -> "Graph":
+        """A graph of this one's type over new CSR arrays."""
+        g = object.__new__(type(self))
+        g._set(nodes, indptr, indices, weights)
+        return g
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.nodes == other.nodes
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.weights, other.weights))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(nodes={self.node_count}, edges={self.edge_count})"
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self.nodes)
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self.indices) // 2
 
-    def neighbors(self, u: Node) -> frozenset:
-        return self._adj[u]
+    def degrees(self) -> np.ndarray:
+        """Degree of every node, in index order."""
+        return np.diff(self.indptr)
+
+    def entry_rows(self) -> np.ndarray:
+        """The row (source node index) of every entry of ``indices``."""
+        return np.repeat(np.arange(self.node_count), self.degrees())
+
+    def _position(self, u: Node) -> int:
+        if self._index is None:
+            self._index = {n: i for i, n in enumerate(self.nodes)}
+        return self._index[u]
+
+    def neighbors(self, u: Node) -> tuple[Node, ...]:
+        i = self._position(u)
+        return tuple(self.nodes[j] for j in self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
 
     def degree(self, u: Node) -> int:
-        return len(self._adj[u])
+        i = self._position(u)
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def has_edge(self, u: Node, v: Node) -> bool:
-        return v in self._adj.get(u, frozenset())
+        """Edge test in constant time, from neighbour sets built on first use."""
+        if self._neighbor_sets is None:
+            nodes = self.nodes
+            rows = np.split(self.indices, self.indptr[1:-1])
+            self._neighbor_sets = {u: frozenset(nodes[j] for j in row.tolist())
+                                   for u, row in zip(nodes, rows)}
+        return v in self._neighbor_sets.get(u, ())
+
+    def _upper(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, columns, entry mask) of the entries with row < column.
+
+        That is each edge once, in sorted order.
+        """
+        rows = self.entry_rows()
+        keep = rows < self.indices
+        return rows[keep], self.indices[keep], keep
 
     def edges(self) -> list[tuple[Node, Node]]:
         """Each edge once, endpoints ordered, list sorted."""
-        out = []
-        for u in self._nodes:
-            for v in self._adj[u]:
-                if u < v:
-                    out.append((u, v))
-        out.sort()
-        return out
+        rows, cols, _ = self._upper()
+        nodes = self.nodes
+        return [(nodes[a], nodes[b]) for a, b in zip(rows.tolist(), cols.tolist())]
 
-    def connected_components(self) -> list[tuple[Node, ...]]:
-        """Components as sorted node tuples, largest first.
+    def _component_labels(self) -> np.ndarray:
+        """Each node's label: the index of the smallest node of its component.
+
+        Labels start as the node's own index and repeatedly take the smallest
+        label among the node's neighbours, with pointer jumping
+        (label = label[label]) in between. A label is always a node of the
+        same component and never increases; at the fixed point it is equal
+        across every edge, hence constant on a component and equal to its
+        smallest index.
+        """
+        label = np.arange(self.node_count)
+        linked = np.flatnonzero(self.degrees())
+        starts = self.indptr[linked]
+        while linked.size:
+            new = label.copy()
+            new[linked] = np.minimum(label[linked], np.minimum.reduceat(label[self.indices], starts))
+            jumped = new[new]
+            while not np.array_equal(jumped, new):
+                new, jumped = jumped, jumped[jumped]
+            if np.array_equal(new, label):
+                break
+            label = new
+        return label
+
+    def _components(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, component labels largest first).
 
         Ties on size break toward the component whose smallest member sorts
         first, so the ordering is deterministic.
         """
-        seen: set[Node] = set()
-        components = []
-        for start in self._nodes:
-            if start in seen:
-                continue
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in self._adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        queue.append(y)
-            seen |= comp
-            components.append(tuple(sorted(comp)))
-        components.sort(key=lambda c: (-len(c), c[0]))
-        return components
+        label = self._component_labels()
+        roots, sizes = np.unique(label, return_counts=True)
+        return label, roots[np.argsort(-sizes, kind="stable")]
+
+    def connected_components(self) -> list[tuple[Node, ...]]:
+        """Components as sorted node tuples, largest first (ties as in _components)."""
+        label, roots = self._components()
+        members = np.argsort(label, kind="stable")
+        bounds = np.searchsorted(label[members], roots)
+        sizes = np.bincount(label)[roots]
+        nodes = self.nodes
+        return [tuple(nodes[i] for i in members[s:s + k].tolist())
+                for s, k in zip(bounds.tolist(), sizes.tolist())]
+
+    def largest_component(self) -> tuple[int, "Graph"]:
+        """Component count and the induced subgraph of the largest component.
+
+        An empty graph yields (0, itself); a connected one, (1, itself).
+        """
+        if self.node_count == 0:
+            return 0, self
+        label, roots = self._components()
+        if len(roots) == 1:
+            return 1, self
+        return len(roots), self._restrict(label == roots[0])
+
+    def _restrict(self, node_keep: np.ndarray, entry_keep: np.ndarray | None = None) -> "Graph":
+        """Subgraph on the kept nodes and entries, relabelled in index order."""
+        rows = self.entry_rows()
+        keep = node_keep[rows] & node_keep[self.indices]
+        if entry_keep is not None:
+            keep &= entry_keep
+        new_index = np.cumsum(node_keep) - 1
+        indptr = np.zeros(int(node_keep.sum()) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[keep], minlength=self.node_count)[node_keep], out=indptr[1:])
+        nodes = self.nodes
+        return self._derived(
+            tuple(nodes[i] for i in np.flatnonzero(node_keep).tolist()),
+            indptr,
+            new_index[self.indices[keep]],
+            None if self.weights is None else self.weights[keep],
+        )
 
     def subgraph(self, nodes: Iterable[Node]) -> "Graph":
-        keep = set(nodes)
-        edges = [
-            (u, v) for u in keep for v in self._adj.get(u, frozenset()) if v in keep and u < v
-        ]
-        return Graph(edges, nodes=keep)
+        """Subgraph induced by the given nodes (all of which must be present)."""
+        keep = np.zeros(self.node_count, dtype=bool)
+        keep[[self._position(u) for u in set(nodes)]] = True
+        return self._restrict(keep)
 
 
 def gnm_random_graph(n: int, m: int, seed: int = 0) -> Graph:
-    """Uniform random graph with n integer nodes and exactly m edges."""
+    """Uniform random graph with n integer nodes and exactly m edges.
+
+    Edge k of the row-major upper triangle is (i, j) with i the row whose
+    first edge number is the largest one <= k.
+    """
     if n < 2:
         raise ValueError("need at least 2 nodes")
     total = n * (n - 1) // 2
@@ -104,6 +243,10 @@ def gnm_random_graph(n: int, m: int, seed: int = 0) -> Graph:
         raise ValueError(f"m must be in [0, {total}], got {m}")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(total, size=m, replace=False)
-    row, col = np.triu_indices(n, k=1)
-    edges = [(int(row[k]), int(col[k])) for k in chosen]
-    return Graph(edges, nodes=range(n))
+    i = np.arange(n, dtype=np.int64)
+    row_start = i * (2 * n - i - 1) // 2
+    row = np.searchsorted(row_start, chosen, side="right") - 1
+    col = chosen - row_start[row] + row + 1
+    g = object.__new__(Graph)
+    g._set(tuple(range(n)), *symmetric_csr(n, row, col))
+    return g

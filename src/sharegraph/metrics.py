@@ -13,73 +13,106 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dsg import DataSharingGraph
 from .errors import DisconnectedGraphError
-from .graph import Graph
+from .graph import BLOCK, Graph
 
 
-def _as_graph(g) -> Graph:
-    if isinstance(g, DataSharingGraph):
-        return g.to_graph()
-    return g
+def _triangles(g: Graph) -> np.ndarray:
+    """Number of triangles through each node, from one degree-ordered pass.
+
+    Each edge is oriented from its lower to its higher (degree, index) rank,
+    which leaves every node at most sqrt(2E) out-neighbours. A triangle with
+    corners ranked a < b < c is then found exactly once, as the path
+    a -> b -> c closed by the edge a -> c, and credited to all three corners.
+
+    Sources a are taken in runs of at most 64 nodes and about BLOCK paths.
+    Bit j of ``mark[c]`` says that c is an out-neighbour of the run's j-th
+    node, so closing a path is one lookup in an array of V words.
+    """
+    n = g.node_count
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), g.degrees()))] = np.arange(n)
+    rows = g.entry_rows()
+    up = rank[rows] < rank[g.indices]
+    src, dst = rows[up], g.indices[up]  # sorted by (src, dst)
+    out_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=out_ptr[1:])
+    head_start = out_ptr[dst]
+    paths = out_ptr[dst + 1] - head_start  # paths a -> b -> c through each edge a -> b
+    before = np.zeros(len(src) + 1, dtype=np.int64)
+    np.cumsum(paths, out=before[1:])
+    node_before = before[out_ptr]
+
+    tri = np.zeros(n, dtype=np.int64)
+    support = np.zeros(len(src), dtype=np.int64)  # triangles closed over each edge a -> b
+    mark = np.zeros(n, dtype=np.uint64)
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(node_before, node_before[lo] + BLOCK, side="right")) - 1
+        hi = min(max(hi, lo + 1), lo + 64)
+        e0, e1 = out_ptr[lo], out_ptr[hi]
+        run = paths[e0:e1]
+        if run.sum():
+            bit = np.left_shift(np.uint64(1), (src[e0:e1] - lo).astype(np.uint64))
+            np.bitwise_or.at(mark, dst[e0:e1], bit)
+            end = np.cumsum(run)
+            c = dst[np.repeat(head_start[e0:e1] - (end - run), run) + np.arange(end[-1])]
+            hit = (mark[c] & np.repeat(bit, run)) != 0
+            closed = np.zeros(len(c) + 1, dtype=np.int64)
+            np.cumsum(hit, out=closed[1:])
+            support[e0:e1] = closed[end] - closed[end - run]
+            tri += np.bincount(c[hit], minlength=n)
+            mark[dst[e0:e1]] = 0
+        lo = hi
+    np.add.at(tri, src, support)
+    np.add.at(tri, dst, support)
+    return tri
 
 
-def clustering_cc1(g) -> float:
+def _clustering(g: Graph) -> tuple[float, float, int]:
+    """(cc1, cc2, triangles) from one triangle pass."""
+    n = g.node_count
+    deg = g.degrees()
+    tri = _triangles(g)
+    wedges = deg * (deg - 1) // 2
+    triangles = int(tri.sum()) // 3
+    triples = int(wedges.sum())
+    if n == 0:
+        cc1 = math.nan
+    else:
+        ratio = np.divide(tri, wedges, out=np.zeros(n), where=wedges > 0)
+        # Summed one node after another in index order, as a plain loop would.
+        cc1 = float(np.cumsum(ratio)[-1]) / n
+    cc2 = 3 * triangles / triples if triples else math.nan
+    return cc1, cc2, triangles
+
+
+def clustering_cc1(g: Graph) -> float:
     """Mean over all nodes of (edges among neighbors) / (k(k-1)/2).
 
     Degree-0 and degree-1 nodes contribute 0. NaN for an empty graph.
     """
-    graph = _as_graph(g)
-    if graph.node_count == 0:
-        return math.nan
-    total = 0.0
-    for u in graph.nodes:
-        nb = graph.neighbors(u)
-        k = len(nb)
-        if k < 2:
-            continue
-        links = sum(len(graph.neighbors(v) & nb) for v in nb) // 2
-        total += links / (k * (k - 1) / 2)
-    return total / graph.node_count
+    return _clustering(g)[0]
 
 
-def triangle_count(g) -> int:
-    """Exact triangle count via neighbor intersection.
-
-    Edges are oriented from lower to higher (degree, node) rank so each
-    triangle is counted at exactly one of its corners.
-    """
-    graph = _as_graph(g)
-    rank = {u: (graph.degree(u), u) for u in graph.nodes}
-    count = 0
-    for u in graph.nodes:
-        ru = rank[u]
-        for v in graph.neighbors(u):
-            if rank[v] <= ru:
-                continue
-            rv = rank[v]
-            common = graph.neighbors(u) & graph.neighbors(v)
-            count += sum(1 for w in common if rank[w] > rv)
-    return count
-
-
-def connected_triple_count(g) -> int:
-    """Number of (node, unordered neighbor pair) combinations."""
-    graph = _as_graph(g)
-    return sum(graph.degree(u) * (graph.degree(u) - 1) // 2 for u in graph.nodes)
-
-
-def clustering_cc2(g) -> float:
+def clustering_cc2(g: Graph) -> float:
     """3 * triangles / connected triples. NaN when the graph has no triples."""
-    triples = connected_triple_count(g)
-    if triples == 0:
-        return math.nan
-    return 3 * triangle_count(g) / triples
+    return _clustering(g)[1]
+
+
+def triangle_count(g: Graph) -> int:
+    """Exact number of triangles."""
+    return _clustering(g)[2]
+
+
+def connected_triple_count(g: Graph) -> int:
+    """Number of (node, unordered neighbor pair) combinations."""
+    deg = g.degrees()
+    return int((deg * (deg - 1) // 2).sum())
 
 
 @dataclass(frozen=True)
@@ -97,62 +130,75 @@ class DegreeDistribution:
         return sum(self.counts.values())
 
 
-def degree_distribution(g) -> DegreeDistribution:
-    graph = _as_graph(g)
-    counts: dict[int, int] = {}
-    for u in graph.nodes:
-        d = graph.degree(u)
-        counts[d] = counts.get(d, 0) + 1
-    return DegreeDistribution(counts=counts)
+def degree_distribution(g: Graph) -> DegreeDistribution:
+    degrees, counts = np.unique(g.degrees(), return_counts=True)
+    return DegreeDistribution(counts=dict(zip(degrees.tolist(), counts.tolist())))
 
 
-def _bfs_distance_sum(graph: Graph, source) -> tuple[int, int]:
-    """(sum of hop distances from source, number of reached nodes)."""
-    dist = {source: 0}
-    queue = deque([source])
+def _bfs_batch(g: Graph, sources: np.ndarray) -> tuple[int, np.ndarray]:
+    """(sum of hop distances, seen words) of BFS from up to 64 sources at once.
+
+    Bit j of a node's uint64 word is set once source j has reached it. One
+    level ORs the frontier words of each node's neighbours together
+    (bitwise_or.reduceat over the CSR rows) and keeps the bits not seen yet.
+    """
+    frontier = np.zeros(g.node_count, dtype=np.uint64)
+    frontier[sources] = np.left_shift(np.uint64(1), np.arange(len(sources), dtype=np.uint64))
+    seen = frontier.copy()
+    linked = np.flatnonzero(g.degrees())
+    starts = g.indptr[linked]
     total = 0
-    while queue:
-        x = queue.popleft()
-        for y in graph.neighbors(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                total += dist[y]
-                queue.append(y)
-    return total, len(dist)
+    depth = 0
+    while linked.size:
+        depth += 1
+        reached = np.zeros_like(frontier)
+        reached[linked] = np.bitwise_or.reduceat(frontier[g.indices], starts)
+        reached &= ~seen
+        new = int(np.bitwise_count(reached).sum())
+        if new == 0:
+            break
+        total += depth * new
+        seen |= reached
+        frontier = reached
+    return total, seen
 
 
-def average_path_length(g, *, sample_fraction: float | None = None, seed: int = 0) -> float:
+def average_path_length(g: Graph, *, sample_fraction: float | None = None, seed: int = 0) -> float:
     """Mean shortest-path hop count of a connected graph.
 
     Exact mode (sample_fraction=None) runs BFS from every node. Sampled mode
-    runs BFS from ceil(sample_fraction * |V|) uniformly chosen sources and
-    averages over (source, other node) pairs; with fraction 1.0 it equals the
-    exact mean. Distance sums are accumulated in exact integer arithmetic.
+    runs BFS from ceil(sample_fraction * |V|) sources chosen uniformly as
+    ``default_rng(seed).choice(|V|, k, replace=False)`` over the nodes sorted
+    by id, and averages over (source, other node) pairs; with fraction 1.0 it
+    equals the exact mean. BFS runs from 64 sources at once; distance sums are
+    accumulated in exact integer arithmetic.
 
     Raises:
         DisconnectedGraphError: if any BFS fails to reach the whole graph.
     """
-    graph = _as_graph(g)
-    v = graph.node_count
+    v = g.node_count
     if v < 2:
         raise ValueError("average path length needs at least 2 nodes")
 
     if sample_fraction is None:
-        sources = graph.nodes
+        sources = np.arange(v)
     else:
         if not 0 < sample_fraction <= 1:
             raise ValueError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
         k = math.ceil(sample_fraction * v)
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(v, size=k, replace=False)
-        sources = [graph.nodes[int(i)] for i in picks]
+        sources = np.random.default_rng(seed).choice(v, size=k, replace=False)
 
     total = 0
-    for s in sources:
-        dist_sum, reached = _bfs_distance_sum(graph, s)
-        if reached != v:
+    for start in range(0, len(sources), 64):
+        batch = sources[start:start + 64]
+        dist_sum, seen = _bfs_batch(g, batch)
+        missed = int(np.bitwise_or.reduce(~seen)) & ((1 << len(batch)) - 1)
+        if missed:
+            j = (missed & -missed).bit_length() - 1  # the first source that fell short
+            reached = np.count_nonzero(seen & np.uint64(1 << j))
             raise DisconnectedGraphError(
-                f"graph is disconnected: BFS from {s!r} reached {reached} of {v} nodes"
+                f"graph is disconnected: BFS from {g.nodes[int(batch[j])]!r} "
+                f"reached {reached} of {v} nodes"
             )
         total += dist_sum
     return total / (len(sources) * (v - 1))
@@ -232,15 +278,14 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def small_world_report(g, *, sample_fraction: float | None = None, seed: int = 0,
-                       skip_cc2: bool = False) -> MetricsReport:
+def small_world_report(g: Graph, *, sample_fraction: float | None = None,
+                       seed: int = 0) -> MetricsReport:
     """Full metrics report for a graph (largest component for the metrics)."""
-    graph = _as_graph(g)
     method = "exact" if sample_fraction is None else f"sampled(fraction={sample_fraction},seed={seed})"
     flags: list[str] = []
 
-    components = graph.connected_components()
-    if not components:
+    component_count, largest = g.largest_component()
+    if component_count == 0:
         return MetricsReport(
             node_count=0, edge_count=0, component_count=0,
             largest_component_nodes=0, largest_component_edges=0,
@@ -250,17 +295,11 @@ def small_world_report(g, *, sample_fraction: float | None = None, seed: int = 0
             path_length_method=method, flags=("empty_graph",),
         )
 
-    largest = graph.subgraph(components[0])
     lv, le = largest.node_count, largest.edge_count
 
-    cc1 = clustering_cc1(largest)
-    if skip_cc2:
-        cc2 = math.nan
-        flags.append("cc2_skipped")
-    else:
-        cc2 = clustering_cc2(largest)
-        if math.isnan(cc2):
-            flags.append("cc2_no_triples")
+    cc1, cc2, _ = _clustering(largest)
+    if math.isnan(cc2):
+        flags.append("cc2_no_triples")
 
     if lv >= 2:
         avg_l = average_path_length(largest, sample_fraction=sample_fraction, seed=seed)
@@ -272,9 +311,9 @@ def small_world_report(g, *, sample_fraction: float | None = None, seed: int = 0
         flags.append("single_node_component")
 
     return MetricsReport(
-        node_count=graph.node_count,
-        edge_count=graph.edge_count,
-        component_count=len(components),
+        node_count=g.node_count,
+        edge_count=g.edge_count,
+        component_count=component_count,
         largest_component_nodes=lv,
         largest_component_edges=le,
         cc1=cc1,

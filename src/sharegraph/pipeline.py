@@ -1,7 +1,8 @@
 """Sweep orchestration, report schemas, and run manifests.
 
 Every report is a plain CSV with a fixed, versioned column order; floats are
-rendered with repr and NaN cells are left empty. All randomness derives from
+rendered with repr, NaN cells are left empty, and a cell holding a comma, a
+double quote or a line break is quoted. All randomness derives from
 a single master seed so a rerun with the same manifest parameters writes
 byte-identical data files.
 """
@@ -79,9 +80,16 @@ def fmt_cell(value) -> str:
     return str(value)
 
 
+def _quoted(cell: str) -> str:
+    """A cell holding a comma, a double quote or a line break, quoted as in RFC 4180."""
+    if any(c in cell for c in ',"\n\r'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def render_csv(columns: list[str], rows: list[list]) -> str:
     lines = [",".join(columns)]
-    lines += [",".join(fmt_cell(v) for v in row) for row in rows]
+    lines += [",".join(_quoted(fmt_cell(v)) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -133,7 +141,6 @@ class SweepSpec:
     origin: int | None = None  # None: align windows to the earliest record
     sample_fraction: float | None = None
     master_seed: int = 0
-    skip_cc2: bool = False
 
     def __post_init__(self):
         if not self.window_lengths or not self.thresholds:
@@ -154,7 +161,6 @@ class SweepCell:
     window_trace: Trace
     sample_fraction: float | None
     path_seed: int
-    skip_cc2: bool
 
 
 @dataclass(frozen=True)
@@ -164,16 +170,28 @@ class SweepCellResult:
     error: str | None = None
 
 
-def _run_cell(cell: SweepCell) -> SweepCellResult:
-    try:
-        graph = build_dsg(cell.window_trace, cell.threshold, window=cell.window)
-        report = small_world_report(
-            graph, sample_fraction=cell.sample_fraction, seed=cell.path_seed,
-            skip_cc2=cell.skip_cc2,
-        )
-        return SweepCellResult(cell=cell, report=report)
-    except Exception as exc:  # flagged row; the sweep must keep going
-        return SweepCellResult(cell=cell, report=None, error=f"{type(exc).__name__}: {exc}")
+def _run_window(cells: list[SweepCell]) -> list[SweepCellResult]:
+    """Measure the cells of one window.
+
+    Pair weights are counted once, at the window's lowest threshold, and
+    filtered for the others.
+    """
+    lowest = min(cell.threshold for cell in cells)
+    base = None
+    results = []
+    for cell in cells:
+        try:
+            if base is None:
+                base = build_dsg(cell.window_trace, lowest, window=cell.window)
+            report = small_world_report(
+                base.at_threshold(cell.threshold),
+                sample_fraction=cell.sample_fraction, seed=cell.path_seed,
+            )
+            results.append(SweepCellResult(cell=cell, report=report))
+        except Exception as exc:  # flagged row; the sweep must keep going
+            results.append(SweepCellResult(
+                cell=cell, report=None, error=f"{type(exc).__name__}: {exc}"))
+    return results
 
 
 def run_sweep(trace: Trace, spec: SweepSpec, workers: int = 1) -> list[SweepCellResult]:
@@ -181,16 +199,20 @@ def run_sweep(trace: Trace, spec: SweepSpec, workers: int = 1) -> list[SweepCell
 
     Cells are indexed before execution and results are returned in index
     order, so the output is identical for any worker count. A failing cell
-    becomes an error-flagged result instead of aborting the sweep.
+    becomes an error-flagged result instead of aborting the sweep. The unit
+    of work is one window with all its thresholds.
     """
-    cells: list[SweepCell] = []
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    windows: list[list[SweepCell]] = []
+    index = 0
     for length in spec.window_lengths:
         origin = spec.origin
         if origin is None:
             origin = trace.records[0].timestamp if trace.records else 0
         for w_idx, (window, window_trace) in enumerate(window_slices(trace, length, origin)):
+            cells = []
             for threshold in spec.thresholds:
-                index = len(cells)
                 cells.append(SweepCell(
                     index=index,
                     interval_seconds=length,
@@ -200,13 +222,16 @@ def run_sweep(trace: Trace, spec: SweepSpec, workers: int = 1) -> list[SweepCell
                     window_trace=window_trace,
                     sample_fraction=spec.sample_fraction,
                     path_seed=replicate_seed(spec.master_seed, index),
-                    skip_cc2=spec.skip_cc2,
                 ))
+                index += 1
+            windows.append(cells)
 
-    if workers <= 1:
-        return [_run_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell, cells, chunksize=1))
+    if workers == 1:
+        per_window = list(map(_run_window, windows))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_window = list(pool.map(_run_window, windows, chunksize=1))
+    return [result for results in per_window for result in results]
 
 
 def summary_rows(trace: Trace) -> list[list]:

@@ -164,8 +164,10 @@ def null_model_comparison(
     for mode in modes:
         for r in range(replicates):
             seed = replicate_seed(mode.seed, r)
-            shuffled = shuffle_trace(trace, ShuffleMode(mode.variant, seed))
-            rows.append(_row(mode.variant, r, seed, windowed(shuffled), threshold,
+            # Only the window is kept, so the whole shuffled trace is freed
+            # before the next one is built.
+            window_trace = windowed(shuffle_trace(trace, ShuffleMode(mode.variant, seed)))
+            rows.append(_row(mode.variant, r, seed, window_trace, threshold,
                              window, sample_fraction, path_seed))
     return NullModelComparison(
         window=window, threshold=threshold, replicates=replicates, rows=tuple(rows),

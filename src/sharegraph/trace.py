@@ -10,6 +10,7 @@ commas or newlines (the format could not carry them back out).
 from __future__ import annotations
 
 import gzip
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,28 +111,54 @@ class ParseResult:
     rejected: tuple[ParseDiagnostic, ...]
 
 
+def _decode(data: bytes) -> tuple[list[str], list[ParseDiagnostic]]:
+    """The lines of UTF-8 bytes, and a diagnostic for each line that is not UTF-8.
+
+    The whole buffer is decoded at once; only input holding invalid UTF-8
+    is split and decoded line by line. A line that does not decode is
+    returned blank, so the line loop skips it, and keeps its line number.
+    """
+    try:
+        return data.decode("utf-8").splitlines(), []
+    except UnicodeDecodeError:
+        pass
+    lines, rejected = [], []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            lines.append("")
+            rejected.append(ParseDiagnostic(lineno, f"invalid UTF-8 at byte {exc.start}: {exc.reason}"))
+    return lines, rejected
+
+
 def parse_trace(data: str | bytes, *, sort: bool = False) -> ParseResult:
     """Parse canonical trace CSV into a Trace.
 
     Accepts text or bytes; gzip-compressed bytes are decompressed
-    transparently. Malformed lines (wrong field count, bad timestamp, empty
-    ID) are rejected individually and reported with their line numbers.
+    transparently. Malformed lines (invalid UTF-8, wrong field count, bad
+    timestamp, empty ID) are rejected individually and reported with their
+    line numbers.
 
     Raises:
-        TraceParseError: when at least one data line was present and every
-            one of them was rejected. The exception carries the diagnostics.
+        TraceParseError: when gzip input is truncated or corrupt, or when at
+            least one data line was present and every one of them was
+            rejected. The exception carries the diagnostics.
     """
     if isinstance(data, bytes):
         if data[:2] == _GZIP_MAGIC:
-            data = gzip.decompress(data)
-        text = data.decode("utf-8")
+            try:
+                data = gzip.decompress(data)
+            except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+                raise TraceParseError(f"corrupt gzip input: {exc}") from exc
+        lines, undecoded = _decode(data)
     else:
-        text = data
+        lines, undecoded = data.splitlines(), []
 
     records = []
-    rejected = []
-    data_lines = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    rejected = list(undecoded)
+    data_lines = len(undecoded)
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
             continue
         data_lines += 1
@@ -152,7 +179,10 @@ def parse_trace(data: str | bytes, *, sort: bool = False) -> ParseResult:
             rejected.append(ParseDiagnostic(lineno, "empty user_id or item_id"))
             continue
         records.append(TraceRecord(user_id, item_id, timestamp))
+    del lines  # the line strings go before the trace is built and sorted
 
+    if undecoded:
+        rejected.sort(key=lambda d: d.line_number)
     if data_lines > 0 and not records:
         raise TraceParseError(
             f"all {data_lines} data lines rejected; first: "

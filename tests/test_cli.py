@@ -1,3 +1,4 @@
+import csv
 import gzip
 import json
 import subprocess
@@ -55,6 +56,30 @@ def test_unparseable_trace_exit(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a\nvalid trace\n")
     assert main(["summary", str(bad), "-o", str(tmp_path / "out")]) == EXIT_PARSE
+
+
+_GZIP_TRACE = gzip.compress(SIX_RECORD_CSV.encode() * 20)
+
+
+@pytest.mark.parametrize("data", [
+    _GZIP_TRACE[:len(_GZIP_TRACE) // 2],  # truncated: EOFError
+    _GZIP_TRACE[:10] + b"\xff" * 20,  # invalid deflate block: zlib.error
+    _GZIP_TRACE[:-8] + b"\0" * 8,  # wrong CRC: gzip.BadGzipFile
+], ids=["truncated", "bad-deflate", "bad-crc"])
+def test_corrupt_gzip_parse_exit(tmp_path, capsys, data):
+    bad = tmp_path / "bad.csv.gz"
+    bad.write_bytes(data)
+    assert main(["summary", str(bad), "-o", str(tmp_path / "out")]) == EXIT_PARSE
+    assert "error: corrupt gzip input" in capsys.readouterr().err
+
+
+def test_invalid_utf8_line_is_a_line_diagnostic(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_bytes(SIX_RECORD_CSV.encode() + b"u1,i\xff9,5\n")
+    out = tmp_path / "out"
+    assert main(["summary", str(path), "-o", str(out)]) == 0
+    assert "line 7: invalid UTF-8" in capsys.readouterr().err
+    assert read(out / "summary.csv").splitlines()[1] == "3,6,3,5"
 
 
 def test_missing_file_io_exit(tmp_path):
@@ -145,6 +170,28 @@ def test_sweep_sampled_mode_recorded(tmp_path):
                  "--origin", "0", "--path-mode", "sampled",
                  "--path-fraction", "0.1", "-o", str(out)]) == 0
     assert "sampled(fraction=0.1" in read(out / "metrics.csv")
+
+
+def test_sweep_sampled_metrics_csv_has_one_field_per_column(tmp_path):
+    path = make_web_like_trace(tmp_path)
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--lengths", "7200", "--thresholds", "1,2",
+                 "--origin", "0", "--path-mode", "sampled", "-o", str(out)]) == 0
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5 * 2
+    for row in rows:
+        assert None not in row and len(row) == 20  # no spilled-over fields
+        assert row["path_length_method"].startswith("sampled(fraction=0.05,seed=")
+        assert row["flags"] in ("", "l_random_unstable")
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_worker_count_below_one(fixture_trace, tmp_path, workers):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["sweep", str(fixture_trace), "--lengths", "10", "--thresholds", "1",
+              "--workers", workers, "-o", str(tmp_path / "out")])
+    assert exc_info.value.code == 2
 
 
 # --- distributions ---

@@ -90,6 +90,16 @@ def test_matches_all_pairs_oracle():
             assert g.edges == oracle_dsg_edges(trace, threshold)
 
 
+@pytest.mark.parametrize("block", [1, 5])
+def test_pair_weights_in_small_blocks_match_oracle(monkeypatch, block):
+    monkeypatch.setattr(dsg_module, "BLOCK", block)  # forces the multi-block merge
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        trace = random_trace(rng, users=10, items=6, records=60)
+        for threshold in (1, 2):
+            assert build_dsg(trace, threshold).edges == oracle_dsg_edges(trace, threshold)
+
+
 def test_threshold_monotonicity():
     rng = np.random.default_rng(23)
     for _ in range(20):

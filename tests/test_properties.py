@@ -1,0 +1,120 @@
+"""Property tests: the CSR graph algorithms against the brute-force oracles in
+helpers.py and against networkx, on random graphs with disconnected parts,
+isolated nodes, string ids and equal-size components."""
+
+import math
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sharegraph import (
+    DisconnectedGraphError,
+    Graph,
+    average_path_length,
+    build_dsg,
+    clustering_cc1,
+    clustering_cc2,
+    connected_triple_count,
+    triangle_count,
+)
+from helpers import (
+    make_trace,
+    oracle_cc1,
+    oracle_cc2,
+    oracle_components,
+    oracle_dsg_edges,
+    oracle_triangles,
+)
+
+
+@st.composite
+def graphs(draw):
+    """(Graph, the same graph in networkx).
+
+    String ids ("v10" sorts before "v2") make index order differ from
+    creation order. With ``copies`` > 1 the edges are repeated on disjoint
+    node sets, which gives components of equal size.
+    """
+    n = draw(st.integers(0, 12))
+    copies = draw(st.integers(1, 3))
+    text = draw(st.booleans())
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+                          .filter(lambda p: p[0] != p[1]), max_size=30)) if n >= 2 else []
+    isolated = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=3)) if n else []
+    name = (lambda c, i: f"v{c * n + i}") if text else (lambda c, i: c * n + i)
+    edges = [(name(c, a), name(c, b)) for c in range(copies) for a, b in pairs]
+    nodes = [name(c, i) for c in range(copies) for i in isolated]
+    reference = nx.Graph(edges)
+    reference.add_nodes_from(nodes)
+    return Graph(edges, nodes=nodes), reference
+
+
+def close(got, want):
+    if math.isnan(want):
+        return math.isnan(got)
+    return abs(got - want) <= 1e-12
+
+
+@given(graphs())
+@settings(max_examples=150, deadline=None)
+def test_clustering_and_counts_match_oracles(pair):
+    g, reference = pair
+    assert g.nodes == tuple(sorted(reference.nodes))
+    assert g.edge_count == reference.number_of_edges()
+    assert close(clustering_cc1(g), oracle_cc1(g))
+    assert close(clustering_cc2(g), oracle_cc2(g))
+    assert triangle_count(g) == oracle_triangles(g)
+
+    triangles = sum(nx.triangles(reference).values()) // 3
+    triples = sum(d * (d - 1) // 2 for _, d in reference.degree())
+    assert triangle_count(g) == triangles
+    assert connected_triple_count(g) == triples
+    if g.node_count:
+        assert close(clustering_cc1(g), nx.average_clustering(reference))
+    if triples:
+        assert close(clustering_cc2(g), nx.transitivity(reference))
+
+
+@given(graphs())
+@settings(max_examples=150, deadline=None)
+def test_components_match_oracle_order(pair):
+    g, reference = pair
+    got = g.connected_components()
+    assert [frozenset(c) for c in got] == oracle_components(g.nodes, g.edges())
+    assert all(list(c) == sorted(c) for c in got)
+    count, largest = g.largest_component()
+    assert count == nx.number_connected_components(reference)
+    if got:
+        assert largest.nodes == got[0]
+        assert largest.edge_count == reference.subgraph(got[0]).number_of_edges()
+
+
+@given(graphs())
+@settings(max_examples=150, deadline=None)
+def test_path_length_matches_networkx(pair):
+    g, reference = pair
+    if g.node_count >= 2 and not nx.is_connected(reference):
+        with pytest.raises(DisconnectedGraphError):
+            average_path_length(g)
+    _, largest = g.largest_component()
+    if largest.node_count < 2:
+        return
+    exact = average_path_length(largest)
+    assert average_path_length(largest, sample_fraction=1.0, seed=3) == exact
+    want = nx.average_shortest_path_length(reference.subgraph(largest.nodes))
+    assert abs(exact - want) <= 1e-12
+
+
+_rows = st.tuples(st.sampled_from([f"u{i}" for i in range(8)]),
+                  st.sampled_from([f"f{i}" for i in range(10)]))
+
+
+@given(st.lists(_rows, max_size=60), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_filtering_a_lower_threshold_equals_building_at_it(rows, threshold):
+    trace = make_trace(rows)
+    base = build_dsg(trace, 1)
+    assert base.at_threshold(threshold) == build_dsg(trace, threshold)
+    assert base.at_threshold(threshold).edges == oracle_dsg_edges(trace, threshold)

@@ -90,6 +90,13 @@ def test_parse_empty_input_gives_empty_trace():
     assert len(result.trace) == 0
 
 
+def test_parse_invalid_utf8_line_rejected_alone():
+    result = parse_trace(b"u1,f1,0\nu1,i\xff9,5\nu2,f1,7\n")
+    assert [r.user_id for r in result.trace] == ["u1", "u2"]
+    assert [d.line_number for d in result.rejected] == [2]
+    assert "invalid UTF-8" in result.rejected[0].reason
+
+
 def test_parse_gzip_by_magic_bytes():
     compressed = gzip.compress(SIX_RECORD_CSV.encode())
     result = parse_trace(compressed)
