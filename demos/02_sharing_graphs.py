@@ -11,7 +11,6 @@ from sharegraph import (
     build_dsg,
     connected_components,
     degree_distribution,
-    dsg,
     generate_synthetic_trace,
     weight_distribution,
 )
@@ -33,9 +32,3 @@ g = build_dsg(trace, 5)
 print("\ndegree histogram at threshold 5:")
 for degree, count in degree_distribution(g).points():
     print(f"  degree {degree:3d}: {'*' * count}")
-
-# Graphs serialize to a stable edge-list text format
-text = dsg.dumps(g)
-print("\nserialized form (first 4 lines):")
-print("\n".join(text.splitlines()[:4]))
-assert dsg.loads(text) == g

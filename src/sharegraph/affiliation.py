@@ -23,9 +23,10 @@ contributed by correlated user preferences.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .dsg import DataSharingGraph, build_dsg
 from .errors import EmptyTraceError
@@ -68,20 +69,24 @@ class AffiliationPrediction:
 
 def build_bipartite(window_trace: Trace) -> BipartiteAffiliation:
     """Compute N, M, p, q from the distinct user-item incidences of a window."""
-    if not window_trace.records:
+    if not len(window_trace):
         raise EmptyTraceError("cannot build a bipartite model of an empty window")
-    incidence = {(r.user_id, r.item_id) for r in window_trace.records}
-    user_degree = Counter(u for u, _ in incidence)
-    item_degree = Counter(i for _, i in incidence)
+    item, user = window_trace.incidences()
+    user_degree = np.unique(user, return_counts=True)[1]
+    item_degree = np.unique(item, return_counts=True)[1]
     n, m = len(user_degree), len(item_degree)
-    p_counts = Counter(user_degree.values())
-    q_counts = Counter(item_degree.values())
     return BipartiteAffiliation(
         user_count=n,
         item_count=m,
-        p={j: c / n for j, c in sorted(p_counts.items())},
-        q={k: c / m for k, c in sorted(q_counts.items())},
+        p=_fractions(user_degree, n),
+        q=_fractions(item_degree, m),
     )
+
+
+def _fractions(degrees: np.ndarray, total: int) -> dict[int, float]:
+    """degree -> fraction of the ``total`` nodes that have it, by degree."""
+    values, counts = np.unique(degrees, return_counts=True)
+    return {d: c / total for d, c in zip(values.tolist(), counts.tolist())}
 
 
 def gf_moments(dist: Mapping[int, float]) -> tuple[float, float, float]:

@@ -137,14 +137,14 @@ def _resolve_window(args, trace: Trace) -> tuple[TimeWindow | None, Trace, int |
     """(window, sliced trace, interval length) from --window-start/--window-length."""
     if args.window_length is None and args.window_start is None:
         return None, trace, None
-    if not trace.records:
+    if not len(trace):
         raise EmptyTraceError("cannot window an empty trace")
     start = args.window_start
     if start is None:
-        start = trace.records[0].timestamp
+        start = int(trace.timestamps[0])
     length = args.window_length
     if length is None:
-        length = trace.records[-1].timestamp - start + 1
+        length = int(trace.timestamps[-1]) - start + 1
     window = TimeWindow(start, start + length)
     return window, slice_window(trace, window), length
 

@@ -7,7 +7,6 @@ size of that overlap. Zero-weight pairs and isolated users never appear.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -112,16 +111,6 @@ class WeightDistribution:
         return sum(self.counts.values())
 
 
-def _intern(values: list[str]) -> tuple[list[str], np.ndarray]:
-    """(distinct values sorted, index of each value in that order)."""
-    codes: dict[str, int] = {}
-    first = np.array([codes.setdefault(x, len(codes)) for x in values], dtype=np.int64)
-    distinct = sorted(codes)
-    rank = np.empty(len(distinct), dtype=np.int64)
-    rank[[codes[x] for x in distinct]] = np.arange(len(distinct))
-    return distinct, rank[first]
-
-
 def _pair_weights(user: np.ndarray, group_end: np.ndarray, n_users: int):
     """Distinct user pairs (as a * n_users + b, a < b) and their shared-item counts.
 
@@ -165,12 +154,9 @@ def build_dsg(window_trace: Trace, threshold: int, window: TimeWindow | None = N
     build at the lowest and take ``at_threshold`` for the others.
     """
     _check_threshold(threshold)
-    records = window_trace.records
-    users, user_idx = _intern([r.user_id for r in records])
-    _, item_idx = _intern([r.item_id for r in records])
-    n = len(users)
-    incidence = np.unique(item_idx * n + user_idx)
-    item, user = np.divmod(incidence, max(n, 1))
+    item, user_code = window_trace.incidences()
+    codes, user = np.unique(user_code, return_inverse=True)
+    n = len(codes)
     pair, weight = _pair_weights(user, np.searchsorted(item, item, side="right"), n)
 
     heavy = weight >= threshold
@@ -179,7 +165,8 @@ def build_dsg(window_trace: Trace, threshold: int, window: TimeWindow | None = N
     linked[a] = linked[b] = True
     new_index = np.cumsum(linked) - 1
     g = object.__new__(DataSharingGraph)
-    g._set(tuple(users[i] for i in np.flatnonzero(linked).tolist()),
+    users = window_trace.user_ids
+    g._set(tuple(users[c] for c in codes[linked].tolist()),
            *symmetric_csr(int(linked.sum()), new_index[a], new_index[b], weight[heavy]))
     g.threshold = threshold
     g.window = window
@@ -206,35 +193,3 @@ def connected_components(g: DataSharingGraph) -> tuple[int, DataSharingGraph]:
     smallest node id. An empty graph yields (0, empty graph).
     """
     return g.largest_component()
-
-
-def dumps(g: DataSharingGraph) -> str:
-    """Serialize to a text edge list with a JSON header line, stably ordered."""
-    header = {
-        "format": "dsg-edge-list-v1",
-        "window": [g.window.start, g.window.end] if g.window else None,
-        "threshold": g.threshold,
-        "nodes": g.node_count,
-    }
-    lines = [f"# {json.dumps(header, sort_keys=True)}"]
-    lines += [f"{u},{v},{w}" for u, v, w in g.sorted_edges()]
-    return "\n".join(lines) + "\n"
-
-
-def loads(text: str) -> DataSharingGraph:
-    """Inverse of dumps. Validates the header node count."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# "):
-        raise ValueError("missing graph header line")
-    header = json.loads(lines[0][2:])
-    if header.get("format") != "dsg-edge-list-v1":
-        raise ValueError(f"unsupported graph format: {header.get('format')!r}")
-    edges = {}
-    for ln in lines[1:]:
-        u, v, w = ln.split(",")
-        edges[(u, v)] = int(w)
-    window = TimeWindow(*header["window"]) if header["window"] else None
-    g = DataSharingGraph(edges=edges, threshold=header["threshold"], window=window)
-    if g.node_count != header["nodes"]:
-        raise ValueError(f"header says {header['nodes']} nodes, edge list has {g.node_count}")
-    return g

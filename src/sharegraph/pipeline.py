@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -34,7 +33,6 @@ SCHEMA_VERSIONS = {
     "affiliation": "affiliation-v1",
     "nullmodel": "nullmodel-v1",
     "trace": "trace-csv-v1",
-    "dsg": "dsg-edge-list-v1",
 }
 
 SUMMARY_COLUMNS = ["users", "requests_all", "requests_distinct", "duration_seconds"]
@@ -209,7 +207,7 @@ def run_sweep(trace: Trace, spec: SweepSpec, workers: int = 1) -> list[SweepCell
     for length in spec.window_lengths:
         origin = spec.origin
         if origin is None:
-            origin = trace.records[0].timestamp if trace.records else 0
+            origin = int(trace.timestamps[0]) if len(trace) else 0
         for w_idx, (window, window_trace) in enumerate(window_slices(trace, length, origin)):
             cells = []
             for threshold in spec.thresholds:
@@ -273,20 +271,23 @@ def scatter_rows(results: list[SweepCellResult]) -> list[list]:
     return rows
 
 
+def _ranked(counts: np.ndarray) -> list[int]:
+    """Codes with a non-zero count, by count descending, then code (id order)."""
+    present = np.flatnonzero(counts)
+    return present[np.argsort(-counts[present], kind="stable")].tolist()
+
+
 def popularity_rows(trace: Trace) -> list[list]:
-    counts = Counter(r.item_id for r in trace.records)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [[rank, item, count] for rank, (item, count) in enumerate(ranked, start=1)]
+    counts = np.bincount(trace.item_codes, minlength=len(trace.item_ids))
+    return [[rank, trace.item_ids[c], int(counts[c])]
+            for rank, c in enumerate(_ranked(counts), start=1)]
 
 
 def user_activity_rows(trace: Trace) -> list[list]:
-    totals = Counter(r.user_id for r in trace.records)
-    distinct: dict[str, set] = {}
-    for r in trace.records:
-        distinct.setdefault(r.user_id, set()).add(r.item_id)
-    ranked = sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [[rank, user, total, len(distinct[user])]
-            for rank, (user, total) in enumerate(ranked, start=1)]
+    totals = np.bincount(trace.user_codes, minlength=len(trace.user_ids))
+    distinct = np.bincount(trace.incidences()[1], minlength=len(trace.user_ids))
+    return [[rank, trace.user_ids[c], int(totals[c]), int(distinct[c])]
+            for rank, c in enumerate(_ranked(totals), start=1)]
 
 
 def degree_hist_rows(graph: DataSharingGraph) -> list[list]:

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .dsg import build_dsg, weight_distribution
 from .errors import EmptyTraceError
 from .metrics import MetricsReport, small_world_report
-from .trace import TimeWindow, Trace, TraceRecord, slice_window
+from .trace import TimeWindow, Trace, slice_window
 
 VARIANTS = ("ST1", "ST2", "ST3")
 
@@ -45,10 +45,8 @@ class ShuffleMode:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
-def _permuted(column: Sequence[str], seed_seq: np.random.SeedSequence) -> list[str]:
-    rng = np.random.default_rng(seed_seq)
-    perm = rng.permutation(len(column))
-    return [column[int(j)] for j in perm]
+def _permuted(codes: np.ndarray, seed_seq: np.random.SeedSequence) -> np.ndarray:
+    return codes[np.random.default_rng(seed_seq).permutation(len(codes))]
 
 
 def shuffle_trace(trace: Trace, mode: ShuffleMode) -> Trace:
@@ -56,13 +54,11 @@ def shuffle_trace(trace: Trace, mode: ShuffleMode) -> Trace:
 
     The time column is never moved, so row order (and time-sortedness) is
     preserved. ST1 derives two independent streams from the seed, one per
-    permuted column.
+    permuted column. Only code columns move; the id tables are shared.
     """
-    if not trace.records:
+    if not len(trace):
         raise EmptyTraceError("cannot shuffle an empty trace")
-    users = [r.user_id for r in trace.records]
-    items = [r.item_id for r in trace.records]
-    times = [r.timestamp for r in trace.records]
+    users, items = trace.user_codes, trace.item_codes
 
     root = np.random.SeedSequence(mode.seed)
     if mode.variant == "ST1":
@@ -74,9 +70,7 @@ def shuffle_trace(trace: Trace, mode: ShuffleMode) -> Trace:
     else:  # ST3
         items = _permuted(items, root)
 
-    return Trace(tuple(
-        TraceRecord(u, i, t) for u, i, t in zip(users, items, times)
-    ))
+    return Trace._from_columns(trace.user_ids, users, trace.item_ids, items, trace.timestamps)
 
 
 def replicate_seed(master_seed: int, replicate: int) -> int:
@@ -153,7 +147,7 @@ def null_model_comparison(
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if not trace.records:
+    if not len(trace):
         raise EmptyTraceError("cannot compare an empty trace")
 
     def windowed(t: Trace) -> Trace:
@@ -164,10 +158,8 @@ def null_model_comparison(
     for mode in modes:
         for r in range(replicates):
             seed = replicate_seed(mode.seed, r)
-            # Only the window is kept, so the whole shuffled trace is freed
-            # before the next one is built.
-            window_trace = windowed(shuffle_trace(trace, ShuffleMode(mode.variant, seed)))
-            rows.append(_row(mode.variant, r, seed, window_trace, threshold,
+            shuffled = shuffle_trace(trace, ShuffleMode(mode.variant, seed))
+            rows.append(_row(mode.variant, r, seed, windowed(shuffled), threshold,
                              window, sample_fraction, path_seed))
     return NullModelComparison(
         window=window, threshold=threshold, replicates=replicates, rows=tuple(rows),

@@ -5,19 +5,30 @@ Canonical trace format: plain CSV text, one record per line as
 with ``#`` are comments, blank lines are ignored, and gzip-compressed input
 is detected by its magic bytes. IDs are opaque tokens; they may not contain
 commas or newlines (the format could not carry them back out).
+
+In memory a trace is columnar: int32 user and item codes into id tables
+sorted in ``str`` order, and int64 timestamps. Code order is therefore id
+order, and a window is an index range that shares its trace's tables.
 """
 
 from __future__ import annotations
 
 import gzip
 import zlib
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import EmptyTraceError, TraceParseError
 
 _GZIP_MAGIC = b"\x1f\x8b"
+
+# Timestamps lie in [0, _TIME_LIMIT). Window bounds are clipped into
+# [0, _TIME_LIMIT] before they are searched in the int64 time column, which
+# moves no bound across a timestamp.
+_TIME_LIMIT = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -38,6 +49,8 @@ class TraceRecord:
             raise ValueError("user_id may not start with '#' (reserved for comments)")
         if self.timestamp < 0:
             raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
+        if self.timestamp >= _TIME_LIMIT:
+            raise ValueError(f"timestamp must be below 2**63 - 1, got {self.timestamp}")
 
 
 @dataclass(frozen=True)
@@ -59,32 +72,121 @@ class TimeWindow:
         return self.start <= timestamp < self.end
 
 
-@dataclass(frozen=True)
-class Trace:
-    """An ordered sequence of request records.
+def _sorted_codes(names: list[str], codes) -> tuple[tuple[str, ...], np.ndarray]:
+    """Re-code ``codes``, which index the distinct ``names``, into ``names`` sorted."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int32)
+    rank[order] = np.arange(len(names), dtype=np.int32)
+    return tuple(names[i] for i in order), rank[np.asarray(codes, dtype=np.int32)]
 
-    ``time_sorted`` is derived at construction, never supplied: it is True
-    exactly when timestamps are non-decreasing in record order.
+
+def _intern(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """(distinct values sorted, code of each value in that table)."""
+    first: dict[str, int] = {}
+    codes = [first.setdefault(x, len(first)) for x in values]
+    return _sorted_codes(list(first), codes)
+
+
+def _numbered(prefix: str, idx: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The id table and codes of the ids ``prefix + str(k)`` for k in ``idx``."""
+    present, inverse = np.unique(idx, return_inverse=True)
+    return _sorted_codes([f"{prefix}{k}" for k in present.tolist()], inverse)
+
+
+class Trace:
+    """An ordered sequence of requests, stored as columns.
+
+    Row k is the request of user ``user_ids[user_codes[k]]`` for item
+    ``item_ids[item_codes[k]]`` at ``timestamps[k]``. The id tables are
+    sorted tuples that may hold ids no row uses: a window or a shuffle
+    shares the tables of the trace it came from. The columns are read-only
+    numpy arrays. ``time_sorted`` is derived, never supplied: it is True
+    exactly when timestamps are non-decreasing in row order.
+
+    ``Trace(records)`` builds the columns from ``TraceRecord`` objects, and
+    ``records`` turns them back into such objects; the library itself works
+    on the columns only.
     """
 
-    records: tuple[TraceRecord, ...]
-    time_sorted: bool = field(init=False)
+    __slots__ = ("user_ids", "item_ids", "user_codes", "item_codes", "timestamps",
+                 "time_sorted")
 
-    def __post_init__(self):
-        records = tuple(self.records)
-        object.__setattr__(self, "records", records)
-        ts = [r.timestamp for r in records]
-        object.__setattr__(self, "time_sorted", all(a <= b for a, b in zip(ts, ts[1:])))
+    def __init__(self, records: Iterable[TraceRecord] = ()):
+        records = tuple(records)
+        user_ids, user_codes = _intern([r.user_id for r in records])
+        item_ids, item_codes = _intern([r.item_id for r in records])
+        timestamps = np.array([r.timestamp for r in records], dtype=np.int64)
+        self._set(user_ids, user_codes, item_ids, item_codes, timestamps)
+
+    def _set(self, user_ids, user_codes, item_ids, item_codes, timestamps) -> None:
+        self.user_ids = user_ids
+        self.item_ids = item_ids
+        self.user_codes = user_codes
+        self.item_codes = item_codes
+        self.timestamps = timestamps
+        for column in (user_codes, item_codes, timestamps):
+            column.flags.writeable = False
+        self.time_sorted = bool(np.all(timestamps[1:] >= timestamps[:-1]))
+
+    @classmethod
+    def _from_columns(cls, user_ids, user_codes, item_ids, item_codes, timestamps) -> "Trace":
+        trace = object.__new__(cls)
+        trace._set(user_ids, user_codes, item_ids, item_codes, timestamps)
+        return trace
+
+    def _take(self, rows) -> "Trace":
+        """The rows selected by a slice, a mask or an index array, same tables."""
+        return Trace._from_columns(self.user_ids, self.user_codes[rows],
+                                   self.item_ids, self.item_codes[rows], self.timestamps[rows])
+
+    def __reduce__(self):
+        # A window shares its trace's tables; pickled, it keeps only the ids it uses.
+        users, user_codes = np.unique(self.user_codes, return_inverse=True)
+        items, item_codes = np.unique(self.item_codes, return_inverse=True)
+        return Trace._from_columns, (
+            tuple(self.user_ids[c] for c in users.tolist()), user_codes.astype(np.int32),
+            tuple(self.item_ids[c] for c in items.tolist()), item_codes.astype(np.int32),
+            self.timestamps,
+        )
+
+    def _decoded(self) -> tuple[list[str], list[str], list[int]]:
+        """The user ids, item ids and timestamps of every row, as lists."""
+        users, items = self.user_ids, self.item_ids
+        return ([users[c] for c in self.user_codes.tolist()],
+                [items[c] for c in self.item_codes.tolist()],
+                self.timestamps.tolist())
+
+    @property
+    def records(self) -> tuple[TraceRecord, ...]:
+        """The rows as validated ``TraceRecord`` objects, made on each call."""
+        return tuple(map(TraceRecord, *self._decoded()))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.timestamps)
 
     def __iter__(self):
         return iter(self.records)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return len(self) == len(other) and self._decoded() == other._decoded()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Trace(requests={len(self)}, time_sorted={self.time_sorted})"
+
+    def incidences(self) -> tuple[np.ndarray, np.ndarray]:
+        """(item codes, user codes) of the distinct item-user pairs, by item, then user."""
+        n = max(len(self.user_ids), 1)
+        return np.divmod(np.unique(self.item_codes.astype(np.int64) * n + self.user_codes), n)
+
     def sorted_by_time(self) -> "Trace":
-        """Return a copy stably sorted by timestamp."""
-        return Trace(tuple(sorted(self.records, key=lambda r: r.timestamp)))
+        """Return the trace stably sorted by timestamp (itself, if already sorted)."""
+        if self.time_sorted:
+            return self
+        return self._take(np.argsort(self.timestamps, kind="stable"))
 
 
 @dataclass(frozen=True)
@@ -137,8 +239,9 @@ def parse_trace(data: str | bytes, *, sort: bool = False) -> ParseResult:
 
     Accepts text or bytes; gzip-compressed bytes are decompressed
     transparently. Malformed lines (invalid UTF-8, wrong field count, bad
-    timestamp, empty ID) are rejected individually and reported with their
-    line numbers.
+    or out-of-range timestamp, empty ID) are rejected individually and
+    reported with their line numbers. Ids are interned as they are read, so
+    no per-record object is made.
 
     Raises:
         TraceParseError: when gzip input is truncated or corrupt, or when at
@@ -155,7 +258,9 @@ def parse_trace(data: str | bytes, *, sort: bool = False) -> ParseResult:
     else:
         lines, undecoded = data.splitlines(), []
 
-    records = []
+    users: dict[str, int] = {}
+    items: dict[str, int] = {}
+    user_codes, item_codes, timestamps = array("i"), array("i"), array("q")
     rejected = list(undecoded)
     data_lines = len(undecoded)
     for lineno, line in enumerate(lines, start=1):
@@ -175,22 +280,30 @@ def parse_trace(data: str | bytes, *, sort: bool = False) -> ParseResult:
         if timestamp < 0:
             rejected.append(ParseDiagnostic(lineno, f"timestamp is negative: {timestamp}"))
             continue
+        if timestamp >= _TIME_LIMIT:
+            rejected.append(ParseDiagnostic(lineno, f"timestamp is out of range: {timestamp}"))
+            continue
         if not user_id or not item_id:
             rejected.append(ParseDiagnostic(lineno, "empty user_id or item_id"))
             continue
-        records.append(TraceRecord(user_id, item_id, timestamp))
+        user_codes.append(users.setdefault(user_id, len(users)))
+        item_codes.append(items.setdefault(item_id, len(items)))
+        timestamps.append(timestamp)
     del lines  # the line strings go before the trace is built and sorted
 
     if undecoded:
         rejected.sort(key=lambda d: d.line_number)
-    if data_lines > 0 and not records:
+    if data_lines > 0 and not timestamps:
         raise TraceParseError(
             f"all {data_lines} data lines rejected; first: "
             f"line {rejected[0].line_number}: {rejected[0].reason}",
             diagnostics=rejected,
         )
 
-    trace = Trace(tuple(records))
+    user_ids, user_codes = _sorted_codes(list(users), user_codes)
+    item_ids, item_codes = _sorted_codes(list(items), item_codes)
+    trace = Trace._from_columns(user_ids, user_codes, item_ids, item_codes,
+                                np.array(timestamps, dtype=np.int64))
     if sort:
         trace = trace.sorted_by_time()
     return ParseResult(trace=trace, rejected=tuple(rejected))
@@ -204,22 +317,25 @@ def load_trace(path, *, sort: bool = False) -> ParseResult:
 
 def render_trace(trace: Trace) -> str:
     """Render a trace back to canonical CSV text. Inverse of parse_trace."""
-    if not trace.records:
-        return ""
-    return "\n".join(f"{r.user_id},{r.item_id},{r.timestamp}" for r in trace.records) + "\n"
+    return "".join(f"{u},{i},{t}\n" for u, i, t in zip(*trace._decoded()))
 
 
 def summarize(trace: Trace) -> TraceSummary:
     """Count users, requests (all and distinct items), and time span."""
-    if not trace.records:
+    if not len(trace):
         raise EmptyTraceError("cannot summarize an empty trace")
-    timestamps = [r.timestamp for r in trace.records]
     return TraceSummary(
-        user_count=len({r.user_id for r in trace.records}),
-        request_count_all=len(trace.records),
-        request_count_distinct=len({r.item_id for r in trace.records}),
-        duration=max(timestamps) - min(timestamps),
+        user_count=len(np.unique(trace.user_codes)),
+        request_count_all=len(trace),
+        request_count_distinct=len(np.unique(trace.item_codes)),
+        duration=int(trace.timestamps.max() - trace.timestamps.min()),
     )
+
+
+def _rows_before(trace: Trace, bounds: list[int]) -> list[int]:
+    """For each bound, the number of rows of a time-sorted trace before it."""
+    clipped = [min(max(bound, 0), _TIME_LIMIT) for bound in bounds]
+    return np.searchsorted(trace.timestamps, np.array(clipped, dtype=np.int64)).tolist()
 
 
 def window_slices(trace: Trace, length: int, origin: int = 0) -> list[tuple[TimeWindow, Trace]]:
@@ -228,29 +344,35 @@ def window_slices(trace: Trace, length: int, origin: int = 0) -> list[tuple[Time
     Window k covers [origin + k*length, origin + (k+1)*length). Every window
     from the one holding the earliest record through the one holding the
     latest is emitted, including empty ones, so time series stay aligned.
+    Each window's trace is an index range of this one.
     """
     if length <= 0:
         raise ValueError(f"window length must be positive, got {length}")
     if not trace.time_sorted:
         raise ValueError("window_slices requires a time-sorted trace")
-    if not trace.records:
+    if not len(trace):
         return []
 
-    first_k = (trace.records[0].timestamp - origin) // length
-    last_k = (trace.records[-1].timestamp - origin) // length
-    buckets: dict[int, list[TraceRecord]] = {k: [] for k in range(first_k, last_k + 1)}
-    for record in trace.records:
-        buckets[(record.timestamp - origin) // length].append(record)
-
+    first_k = (int(trace.timestamps[0]) - origin) // length
+    last_k = (int(trace.timestamps[-1]) - origin) // length
+    starts = [origin + k * length for k in range(first_k, last_k + 2)]
+    rows = _rows_before(trace, starts)
     return [
-        (TimeWindow(origin + k * length, origin + (k + 1) * length), Trace(tuple(buckets[k])))
-        for k in range(first_k, last_k + 1)
+        (TimeWindow(start, start + length), trace._take(slice(lo, hi)))
+        for start, lo, hi in zip(starts, rows, rows[1:])
     ]
 
 
 def slice_window(trace: Trace, window: TimeWindow) -> Trace:
-    """Keep only the records whose timestamps fall inside the window."""
-    return Trace(tuple(r for r in trace.records if window.contains(r.timestamp)))
+    """Keep only the records whose timestamps fall inside the window.
+
+    On a time-sorted trace this is an index range found by binary search.
+    """
+    if trace.time_sorted:
+        lo, hi = _rows_before(trace, [window.start, window.end])
+        return trace._take(slice(lo, hi))
+    t = trace.timestamps
+    return trace._take((t >= window.start) & (t < window.end))
 
 
 def generate_synthetic_trace(
@@ -290,13 +412,8 @@ def generate_synthetic_trace(
     times = rng.integers(0, span_seconds, size=requests)
 
     order = np.argsort(times, kind="stable")
-    records = tuple(
-        TraceRecord(f"u{int(user_idx[j])}", f"i{int(item_idx[j])}", int(times[j]))
-        for j in order
-    )
-    return Trace(records)
-
-
+    return Trace._from_columns(*_numbered("u", user_idx[order]), *_numbered("i", item_idx[order]),
+                               times[order].astype(np.int64))
 def generate_clustered_trace(
     groups: int = 16,
     users_per_group: int = 10,
@@ -341,8 +458,7 @@ def generate_clustered_trace(
                     rows.append((user, item(nxt, int(j))))
 
     times = rng.integers(0, span_seconds, size=len(rows))
-    order = np.argsort(times, kind="stable")
-    records = tuple(
-        TraceRecord(rows[j][0], rows[j][1], int(times[j])) for j in order
-    )
-    return Trace(records)
+    order = np.argsort(times, kind="stable").tolist()
+    return Trace._from_columns(*_intern([rows[j][0] for j in order]),
+                               *_intern([rows[j][1] for j in order]),
+                               times[order].astype(np.int64))

@@ -1,10 +1,16 @@
+import contextlib
 import csv
 import gzip
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharegraph import generate_synthetic_trace, render_trace
 from sharegraph.cli import EXIT_IO, EXIT_PARSE, EXIT_PRECONDITION, main
@@ -81,6 +87,30 @@ def test_invalid_utf8_line_is_a_line_diagnostic(tmp_path, capsys):
     assert "line 7: invalid UTF-8" in capsys.readouterr().err
     assert read(out / "summary.csv").splitlines()[1] == "3,6,3,5"
 
+
+_field = st.text(alphabet=st.characters(codec="utf-8"), max_size=6)
+_line = st.one_of(
+    st.tuples(_field, _field, st.integers(min_value=-10, max_value=2**64).map(str)),
+    st.tuples(_field, _field, _field),
+).map(",".join)
+_trace_bytes = st.one_of(
+    st.binary(max_size=200),
+    st.lists(_line, max_size=8).map(lambda lines: "\n".join(lines).encode()),
+)
+
+
+@given(_trace_bytes, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_summary_on_arbitrary_bytes_exits_cleanly(data, wrap_in_gzip):
+    """Any input bytes, plain or gzip-wrapped, end in a documented exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(gzip.compress(data) if wrap_in_gzip else data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["summary", str(path), "-o", str(Path(tmp) / "out")])
+    assert code in {0, EXIT_PARSE, EXIT_PRECONDITION, EXIT_IO}
+    assert "Traceback" not in err.getvalue()
 
 def test_missing_file_io_exit(tmp_path):
     missing = tmp_path / "nope.csv"

@@ -194,31 +194,3 @@ def test_components_match_union_find_oracle():
         assert count == len(expected)
         if expected:
             assert set(largest.nodes) == set(expected[0])
-
-
-# --- serialization ---
-
-def test_round_trip_serialization():
-    g = build_dsg(SHARED_TRACE, 1, window=TimeWindow(0, 3600))
-    text = dsg_module.dumps(g)
-    assert dsg_module.loads(text) == g
-    assert dsg_module.dumps(g) == text  # stable bytes
-
-
-def test_serialization_edge_lines_sorted():
-    g = build_dsg(SHARED_TRACE, 1)
-    lines = dsg_module.dumps(g).splitlines()
-    assert lines[0].startswith("# ")
-    assert lines[1:] == ["u1,u2,1", "u1,u3,2", "u2,u3,1"]
-
-
-def test_loads_rejects_bad_header():
-    with pytest.raises(ValueError):
-        dsg_module.loads("u1,u2,1\n")
-
-
-def test_loads_validates_node_count():
-    g = build_dsg(SHARED_TRACE, 1)
-    text = dsg_module.dumps(g).replace('"nodes": 3', '"nodes": 4')
-    with pytest.raises(ValueError):
-        dsg_module.loads(text)

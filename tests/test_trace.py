@@ -1,4 +1,6 @@
 import gzip
+import pickle
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -115,6 +117,36 @@ def test_parse_preserves_order_without_sort():
     assert not result.trace.time_sorted
     assert [r.timestamp for r in result.trace] == [9, 3]
 
+
+def test_parse_sort_is_stable_for_equal_timestamps():
+    # Long enough that an unstable sort would not fall back to insertion sort.
+    lines = [f"u{k % 11},i{k},{(k * 7) % 5}" for k in range(60)]
+    trace = parse_trace("\n".join(lines), sort=True).trace
+    expected = sorted(lines, key=lambda line: int(line.rsplit(",", 1)[1]))
+    assert render_trace(trace) == "\n".join(expected) + "\n"
+
+
+def test_parse_rejects_timestamp_beyond_int64():
+    result = parse_trace(f"u1,f1,{2**63}\nu2,f1,{2**63 - 2}\n")
+    assert [r.timestamp for r in result.trace] == [2**63 - 2]
+    assert [d.line_number for d in result.rejected] == [1]
+    assert "out of range" in result.rejected[0].reason
+    with pytest.raises(ValueError):
+        TraceRecord("u1", "f1", 2**63 - 1)
+
+
+def test_parse_peak_memory_is_bounded():
+    # The peak is the decoded text and its line strings plus 10 bytes of
+    # columns per request (about 19 MB); an object per request would pass the bound.
+    data = render_trace(generate_synthetic_trace(2000, 20000, 200_000, "zipf", seed=1)).encode()
+    tracemalloc.start()
+    try:
+        result = parse_trace(data, sort=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.trace) == 200_000
+    assert peak < 24 * 2**20
 
 _ids = st.text(alphabet="abcdefgh0123456789_.-", min_size=1, max_size=8).filter(
     lambda s: not s.startswith("#")
@@ -234,6 +266,30 @@ def test_slice_window_filters_half_open():
     sliced = slice_window(trace, TimeWindow(0, 20))
     assert [r.timestamp for r in sliced] == [0, 10]
 
+
+def test_slice_window_on_unsorted_trace_keeps_row_order():
+    trace = make_trace([("u1", "f1", 30), ("u2", "f2", 5), ("u3", "f3", 12), ("u4", "f4", 50)])
+    sliced = slice_window(trace, TimeWindow(5, 31))
+    assert [r.user_id for r in sliced] == ["u1", "u2", "u3"]
+
+
+def test_window_bounds_beyond_int64():
+    trace = make_trace([("u1", "f1", 0), ("u2", "f2", 2**62)])
+    assert slice_window(trace, TimeWindow(-10**30, 10**30)) == trace
+    assert len(slice_window(trace, TimeWindow(2**63, 10**30))) == 0
+    (window, wt), = window_slices(trace, 10**30, origin=-7)
+    assert (window.start, len(wt)) == (-7, 2)
+
+
+def test_window_shares_tables_and_pickles_only_its_ids():
+    trace = generate_synthetic_trace(30, 60, 400, seed=5, span_seconds=1000)
+    _, window = window_slices(trace, 100, origin=0)[3]
+    assert window.user_ids is trace.user_ids
+    assert window == Trace(window.records)
+    copy = pickle.loads(pickle.dumps(window))
+    assert copy == window
+    assert copy.user_ids == tuple(sorted({r.user_id for r in window}))
+    assert copy.item_ids == tuple(sorted({r.item_id for r in window}))
 
 # --- synthetic generation ---
 
