@@ -74,9 +74,6 @@ class DataSharingGraph(Graph):
         return {(nodes[a], nodes[b]): w
                 for a, b, w in zip(rows.tolist(), cols.tolist(), self.weights[keep].tolist())}
 
-    def sorted_edges(self) -> list[tuple[str, str, int]]:
-        return [(u, v, w) for (u, v), w in self.edges.items()]
-
     def edge_weights(self) -> np.ndarray:
         """The weight of every edge, once each, in sorted edge order."""
         return self.weights[self._upper()[2]]

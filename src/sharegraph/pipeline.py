@@ -244,7 +244,8 @@ def metrics_rows(system: str, results: list[SweepCellResult]) -> list[list]:
         prefix = [system, cell.interval_seconds, cell.threshold]
         suffix = [cell.window_index, cell.window.start, cell.window.end]
         if res.report is None:
-            rows.append(prefix + [None] * 10 + suffix + ["", f"error:{res.error}"])
+            blank = [None] * (len(METRICS_COLUMNS) - len(prefix) - len(suffix) - 2)
+            rows.append(prefix + blank + suffix + ["", f"error:{res.error}"])
             continue
         r = res.report
         flags = ";".join(r.flags)

@@ -1,7 +1,9 @@
 """Request-trace parsing, windowing, summaries, and synthetic generators.
 
 Canonical trace format: plain CSV text, one record per line as
-``user_id,item_id,timestamp`` with integer-second timestamps. Lines starting
+``user_id,item_id,timestamp`` with integer-second timestamps. A line ends at
+``\\n``, and one ``\\r`` just before it is dropped, so CRLF files read the
+same; any other character, a lone ``\\r`` included, is data. Lines starting
 with ``#`` are comments, blank lines are ignored, and gzip-compressed input
 is detected by its magic bytes. IDs are opaque tokens; they may not contain
 commas or newlines (the format could not carry them back out).
@@ -14,16 +16,21 @@ order, and a window is an index range that shares its trace's tables.
 from __future__ import annotations
 
 import gzip
+import io
 import zlib
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
 from .errors import EmptyTraceError, TraceParseError
 
 _GZIP_MAGIC = b"\x1f\x8b"
+
+# Bytes read per step of the parse's line loop.
+READ_BLOCK = 1 << 20
 
 # Timestamps lie in [0, _TIME_LIMIT). Window bounds are clipped into
 # [0, _TIME_LIMIT] before they are searched in the int64 time column, which
@@ -63,10 +70,6 @@ class TimeWindow:
     def __post_init__(self):
         if self.start >= self.end:
             raise ValueError(f"window start must precede end: [{self.start}, {self.end})")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
 
     def contains(self, timestamp: int) -> bool:
         return self.start <= timestamp < self.end
@@ -213,57 +216,57 @@ class ParseResult:
     rejected: tuple[ParseDiagnostic, ...]
 
 
-def _decode(data: bytes) -> tuple[list[str], list[ParseDiagnostic]]:
-    """The lines of UTF-8 bytes, and a diagnostic for each line that is not UTF-8.
+def _line_runs(stream: BinaryIO) -> Iterator[list[bytes]]:
+    """The lines of a binary stream, one run per block read.
 
-    The whole buffer is decoded at once; only input holding invalid UTF-8
-    is split and decoded line by line. A line that does not decode is
-    returned blank, so the line loop skips it, and keeps its line number.
+    Each block is split on ``\\n`` and its unfinished last piece is carried
+    into the next block; a ``\\r`` just before ``\\n`` is dropped.
     """
+    tail = b""
     try:
-        return data.decode("utf-8").splitlines(), []
-    except UnicodeDecodeError:
-        pass
-    lines, rejected = [], []
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        try:
-            lines.append(raw.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            lines.append("")
-            rejected.append(ParseDiagnostic(lineno, f"invalid UTF-8 at byte {exc.start}: {exc.reason}"))
-    return lines, rejected
+        for block in iter(lambda: stream.read(READ_BLOCK), b""):
+            lines = (tail + block).replace(b"\r\n", b"\n").split(b"\n")
+            tail = lines.pop()
+            yield lines
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise TraceParseError(f"corrupt gzip input: {exc}") from exc
+    yield [tail]
 
 
-def parse_trace(data: str | bytes, *, sort: bool = False) -> ParseResult:
+def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseResult:
     """Parse canonical trace CSV into a Trace.
 
-    Accepts text or bytes; gzip-compressed bytes are decompressed
-    transparently. Malformed lines (invalid UTF-8, wrong field count, bad
-    or out-of-range timestamp, empty ID) are rejected individually and
-    reported with their line numbers. Ids are interned as they are read, so
-    no per-record object is made.
+    Accepts text, bytes or a binary file, read in blocks of READ_BLOCK bytes;
+    gzip-compressed input is decompressed transparently. Each line is decoded
+    on its own, and malformed lines (invalid UTF-8, wrong field count, bad or
+    out-of-range timestamp, empty ID) are rejected individually and reported
+    with their line numbers. Ids are interned as they are read, so no
+    per-record object is made.
 
     Raises:
         TraceParseError: when gzip input is truncated or corrupt, or when at
             least one data line was present and every one of them was
             rejected. The exception carries the diagnostics.
     """
-    if isinstance(data, bytes):
-        if data[:2] == _GZIP_MAGIC:
-            try:
-                data = gzip.decompress(data)
-            except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-                raise TraceParseError(f"corrupt gzip input: {exc}") from exc
-        lines, undecoded = _decode(data)
-    else:
-        lines, undecoded = data.splitlines(), []
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    stream = io.BytesIO(data) if isinstance(data, bytes) else data
+    magic = stream.read(2)
+    stream.seek(-len(magic), io.SEEK_CUR)
+    if magic == _GZIP_MAGIC:
+        stream = gzip.GzipFile(fileobj=stream)
 
     users: dict[str, int] = {}
     items: dict[str, int] = {}
     user_codes, item_codes, timestamps = array("i"), array("i"), array("q")
-    rejected = list(undecoded)
-    data_lines = len(undecoded)
-    for lineno, line in enumerate(lines, start=1):
+    rejected, data_lines = [], 0
+    for lineno, raw in enumerate(chain.from_iterable(_line_runs(stream)), start=1):
+        try:
+            line = raw.decode()  # UTF-8
+        except UnicodeDecodeError as exc:
+            data_lines += 1
+            rejected.append(ParseDiagnostic(lineno, f"invalid UTF-8 at byte {exc.start}: {exc.reason}"))
+            continue
         if not line.strip() or line.startswith("#"):
             continue
         data_lines += 1
@@ -289,10 +292,7 @@ def parse_trace(data: str | bytes, *, sort: bool = False) -> ParseResult:
         user_codes.append(users.setdefault(user_id, len(users)))
         item_codes.append(items.setdefault(item_id, len(items)))
         timestamps.append(timestamp)
-    del lines  # the line strings go before the trace is built and sorted
 
-    if undecoded:
-        rejected.sort(key=lambda d: d.line_number)
     if data_lines > 0 and not timestamps:
         raise TraceParseError(
             f"all {data_lines} data lines rejected; first: "
@@ -310,9 +310,9 @@ def parse_trace(data: str | bytes, *, sort: bool = False) -> ParseResult:
 
 
 def load_trace(path, *, sort: bool = False) -> ParseResult:
-    """Read a trace file (plain or gzip) and parse it."""
+    """Parse a trace file (plain or gzip) block by block as it is read."""
     with open(path, "rb") as fh:
-        return parse_trace(fh.read(), sort=sort)
+        return parse_trace(fh, sort=sort)
 
 
 def render_trace(trace: Trace) -> str:

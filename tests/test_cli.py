@@ -12,8 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharegraph import generate_synthetic_trace, render_trace
+from sharegraph import TimeWindow, Trace, generate_synthetic_trace, render_trace
 from sharegraph.cli import EXIT_IO, EXIT_PARSE, EXIT_PRECONDITION, main
+from sharegraph.pipeline import (
+    METRICS_COLUMNS,
+    SweepCell,
+    SweepCellResult,
+    metrics_rows,
+    render_csv,
+)
 
 SIX_RECORD_CSV = "u1,f1,0\nu1,f2,1\nu2,f2,2\nu2,f3,3\nu3,f1,4\nu3,f2,5\n"
 
@@ -214,6 +221,17 @@ def test_sweep_sampled_metrics_csv_has_one_field_per_column(tmp_path):
         assert None not in row and len(row) == 20  # no spilled-over fields
         assert row["path_length_method"].startswith("sampled(fraction=0.05,seed=")
         assert row["flags"] in ("", "l_random_unstable")
+
+
+def test_metrics_csv_error_row_has_one_field_per_column():
+    cell = SweepCell(index=0, interval_seconds=10, window_index=3, window=TimeWindow(30, 40),
+                     threshold=1, window_trace=Trace(), sample_fraction=None, path_seed=0)
+    result = SweepCellResult(cell=cell, report=None, error="ValueError: boom")
+    text = render_csv(METRICS_COLUMNS, metrics_rows("web", [result]))
+    (row,) = csv.DictReader(io.StringIO(text))
+    assert None not in row and len(row) == 20
+    assert row["flags"].startswith("error:")
+    assert (row["window_index"], row["window_start"], row["window_end"]) == ("3", "30", "40")
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

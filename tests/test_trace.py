@@ -15,12 +15,14 @@ from sharegraph import (
     TraceParseError,
     TraceRecord,
     generate_synthetic_trace,
+    load_trace,
     parse_trace,
     render_trace,
     slice_window,
     summarize,
     window_slices,
 )
+import sharegraph.trace as trace_module
 from helpers import make_trace
 
 SIX_RECORD_CSV = "u1,f1,0\nu1,f2,1\nu2,f2,2\nu2,f3,3\nu3,f1,4\nu3,f2,5\n"
@@ -135,22 +137,77 @@ def test_parse_rejects_timestamp_beyond_int64():
         TraceRecord("u1", "f1", 2**63 - 1)
 
 
-def test_parse_peak_memory_is_bounded():
-    # The peak is the decoded text and its line strings plus 10 bytes of
-    # columns per request (about 19 MB); an object per request would pass the bound.
-    data = render_trace(generate_synthetic_trace(2000, 20000, 200_000, "zipf", seed=1)).encode()
+def test_parse_crlf_matches_lf():
+    lf = b"# comment\nu1,f1,1\n\nbadline\nu2,f2,2\nu3,f3,xx\nu\xff,f4,4\nu5,f5,5"
+    crlf, plain = parse_trace(lf.replace(b"\n", b"\r\n")), parse_trace(lf)
+    assert crlf == plain
+    assert [d.line_number for d in crlf.rejected] == [4, 6, 7]
+    assert "'xx'" in crlf.rejected[1].reason
+
+
+def test_parse_line_breaks_only_at_newline():
+    # A lone \r and the other characters str.splitlines breaks at are data.
+    ids = ["u\r1", "u\x0b2", "u\x0c3", "u\x1c4", "u\x855", "u\u20286"]
+    text = "".join(f"{u},f1,{k}\n" for k, u in enumerate(ids))
+    # An invalid line elsewhere in the input must not move any line break.
+    for data, rejected in ((text, []), (text.encode(), []), (text.encode() + b"\xff\n", [7])):
+        result = parse_trace(data)
+        assert [r.user_id for r in result.trace] == ids
+        assert [d.line_number for d in result.rejected] == rejected
+
+
+def test_parse_lone_surrogate_is_a_line_rejection():
+    result = parse_trace("u1,f1,0\nu\ud8002,f1,1\n")
+    assert [r.user_id for r in result.trace] == ["u1"]
+    assert [d.line_number for d in result.rejected] == [2]
+    assert "invalid UTF-8" in result.rejected[0].reason
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 8, 9, 17])
+def test_parse_lines_straddling_read_blocks(monkeypatch, block):
+    data = b"u1,f1,1\r\nu2,f2,2\r\n# c\nbad\r\nu3,\xff,3\nlonger_user,f1,4\r\nu4,f4,5"
+    expected = parse_trace(data)
+    monkeypatch.setattr(trace_module, "READ_BLOCK", block)  # block 8 splits \r from \n
+    assert parse_trace(data) == expected
+    assert parse_trace(gzip.compress(data)) == expected
+    assert [r.user_id for r in expected.trace] == ["u1", "u2", "longer_user", "u4"]
+    assert [d.line_number for d in expected.rejected] == [4, 5]
+
+
+@pytest.fixture(scope="module")
+def big_trace_bytes():
+    trace = generate_synthetic_trace(2000, 20000, 200_000, "zipf", seed=1)
+    return render_trace(trace).encode()
+
+
+def _traced_peak(parse):
     tracemalloc.start()
     try:
-        result = parse_trace(data, sort=True)
+        result = parse()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(result.trace) == 200_000
-    assert peak < 24 * 2**20
+    return peak
 
-_ids = st.text(alphabet="abcdefgh0123456789_.-", min_size=1, max_size=8).filter(
-    lambda s: not s.startswith("#")
-)
+
+def test_parse_peak_memory_is_bounded(big_trace_bytes):
+    # One READ_BLOCK of line strings (about 6 MB) and the columns with their
+    # id tables (4 MB, plus the copies made while they are built) peak near
+    # 13 MB; holding every line at once, or an object per request, would
+    # pass the bound.
+    assert _traced_peak(lambda: parse_trace(big_trace_bytes, sort=True)) < 16 * 2**20
+
+
+def test_load_gzip_peak_memory_is_bounded(big_trace_bytes, tmp_path):
+    # As above: the file is decompressed one block at a time, never whole.
+    path = tmp_path / "trace.csv.gz"
+    path.write_bytes(gzip.compress(big_trace_bytes))
+    assert _traced_peak(lambda: load_trace(path, sort=True)) < 16 * 2**20
+
+
+_ids = st.text(st.characters(codec="utf-8", exclude_characters=",\n"),
+               min_size=1, max_size=8).filter(lambda s: not s.startswith("#"))
 _records = st.builds(
     TraceRecord,
     user_id=_ids,
