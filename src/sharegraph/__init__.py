@@ -117,3 +117,26 @@ __all__ = [
     "weight_distribution",
     "window_slices",
 ]
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds at 2 and 16 MiB.
+
+    Blocks of 2 MiB and more, such as the columns of a large trace, get their
+    own mapping and go back to the kernel when freed. The heap serves smaller
+    ones, such as the parse's read blocks and a graph build's temporaries,
+    and keeps up to 16 MiB of them free for reuse. glibc's own rule moves both
+    thresholds as mapped blocks are freed, so a call's page faults, and peak
+    memory, depended on what the process had freed before it.
+    """
+    import ctypes
+    import sys
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if sys.platform == "linux" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 2 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 16 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()

@@ -46,7 +46,8 @@ class ShuffleMode:
 
 
 def _permuted(codes: np.ndarray, seed_seq: np.random.SeedSequence) -> np.ndarray:
-    return codes[np.random.default_rng(seed_seq).permutation(len(codes))]
+    # The swaps of codes[rng.permutation(len(codes))], without its int64 index array.
+    return np.random.default_rng(seed_seq).permutation(codes)
 
 
 def shuffle_trace(trace: Trace, mode: ShuffleMode) -> Trace:

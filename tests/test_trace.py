@@ -1,5 +1,8 @@
 import gzip
 import pickle
+import platform
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -204,6 +207,31 @@ def test_load_gzip_peak_memory_is_bounded(big_trace_bytes, tmp_path):
     path = tmp_path / "trace.csv.gz"
     path.write_bytes(gzip.compress(big_trace_bytes))
     assert _traced_peak(lambda: load_trace(path, sort=True)) < 16 * 2**20
+
+
+_FILL_TWICE = """
+import resource, numpy as np, sharegraph
+def faults_of_fill():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    blocks = [np.ones(512 << 10, dtype=np.uint8) for _ in range(28)]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    del blocks
+    return faults
+faults_of_fill()
+print(faults_of_fill())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc only")
+def test_freed_heap_is_reused_not_faulted_in_again():
+    # Importing sharegraph pins glibc's mmap and trim thresholds, so 14 MiB
+    # of freed 512 KiB blocks stay in the heap and the next ones reuse their
+    # pages. Left to glibc, a fresh process maps each block on its own and
+    # faults it in again. A fresh process, because earlier tests move glibc's
+    # own thresholds.
+    result = subprocess.run([sys.executable, "-c", _FILL_TWICE], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 50
 
 
 _ids = st.text(st.characters(codec="utf-8", exclude_characters=",\n"),
