@@ -11,6 +11,7 @@ Exit codes: 0 success (possibly with flagged rows), 2 usage error,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -122,10 +123,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _HashingReader:
+    """A binary file that feeds every byte it returns to sha256.
+
+    The parse reads the file once, so hashing as it reads gives the digest
+    of the whole file without holding it.
+    """
+
+    def __init__(self, raw):
+        self._raw = raw
+        self._sha = hashlib.sha256()
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._raw.read(size)
+        self._sha.update(data)
+        return data
+
+    def hexdigest(self) -> str:
+        """The digest of the whole file, reading whatever is left unread."""
+        while self.read(1 << 20):
+            pass
+        return self._sha.hexdigest()
+
+
 def _load_trace_arg(args) -> tuple[Trace, str]:
-    raw = Path(args.trace).read_bytes()
-    digest = pipeline.sha256_hex(raw)
-    result = parse_trace(raw, sort=True)
+    with open(args.trace, "rb") as fh:
+        reader = _HashingReader(fh)
+        result = parse_trace(reader, sort=True)
+        digest = reader.hexdigest()
     if result.rejected:
         print(f"warning: rejected {len(result.rejected)} malformed line(s)", file=sys.stderr)
         for diag in result.rejected[:5]:

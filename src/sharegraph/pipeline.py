@@ -9,7 +9,6 @@ byte-identical data files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -89,10 +88,6 @@ def render_csv(columns: list[str], rows: list[list]) -> str:
     lines = [",".join(columns)]
     lines += [",".join(_quoted(fmt_cell(v)) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 @dataclass(frozen=True)

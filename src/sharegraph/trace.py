@@ -8,6 +8,14 @@ with ``#`` are comments, blank lines are ignored, and gzip-compressed input
 is detected by its magic bytes. IDs are opaque tokens; they may not contain
 commas or newlines (the format could not carry them back out).
 
+The parse reads its input in blocks of whole lines. A regular block, one
+where every line is ``user,item,digits`` with ids of 1 to 8 bytes (see
+_regular_block), is converted by whole numpy columns. Every other block,
+one with a longer id included, goes through the line loop, which decodes
+each line on its own and is the one definition of a valid line; the
+vectorized route takes only blocks that the loop would accept unchanged, so
+both give the same trace.
+
 In memory a trace is columnar: int32 user and item codes into id tables
 sorted in ``str`` order, and int64 timestamps. Code order is therefore id
 order, and a window is an index range that shares its trace's tables.
@@ -20,7 +28,6 @@ import io
 import zlib
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
@@ -29,8 +36,16 @@ from .errors import EmptyTraceError, TraceParseError
 
 _GZIP_MAGIC = b"\x1f\x8b"
 
-# Bytes read per step of the parse's line loop.
-READ_BLOCK = 1 << 20
+# Bytes read per step of the parse.
+READ_BLOCK = 1 << 18
+
+# A regular line's timestamp has at most this many digits, so it is below
+# 10**18: it cannot overflow int64 and lies below _TIME_LIMIT.
+_DIGITS = 18
+
+# A regular line's ids are at most this many bytes long, so that each packs
+# into one uint64 key; a longer id sends its block to the line loop.
+_KEY_BYTES = 8
 
 # Timestamps lie in [0, _TIME_LIMIT). Window bounds are clipped into
 # [0, _TIME_LIMIT] before they are searched in the int64 time column, which
@@ -216,32 +231,163 @@ class ParseResult:
     rejected: tuple[ParseDiagnostic, ...]
 
 
-def _line_runs(stream: BinaryIO) -> Iterator[list[bytes]]:
-    """The lines of a binary stream, one run per block read.
+class _Prefixed:
+    """A binary stream read as ``head`` and then the rest of ``stream``.
 
-    Each block is split on ``\\n`` and its unfinished last piece is carried
-    into the next block; a ``\\r`` just before ``\\n`` is dropped.
+    The parse reads the gzip magic off its input and puts it back this way,
+    so the input need not seek. A read may return less than it was asked
+    for, as a raw file's may.
+    """
+
+    def __init__(self, head: bytes, stream: BinaryIO):
+        self._head, self._stream = head, stream
+
+    def read(self, size: int = -1) -> bytes:
+        head = self._head
+        if not head:
+            return self._stream.read(size)
+        if 0 <= size < len(head):
+            self._head = head[size:]
+            return head[:size]
+        self._head = b""
+        return head
+
+
+def _blocks(stream: BinaryIO) -> Iterator[bytes]:
+    """The bytes of a binary stream in blocks of whole lines.
+
+    Every block but the last ends at a ``\\n``: the unfinished line at the end
+    of each read is carried into the next block. The last block is what
+    follows the last ``\\n``, possibly nothing.
     """
     tail = b""
     try:
         for block in iter(lambda: stream.read(READ_BLOCK), b""):
-            lines = (tail + block).replace(b"\r\n", b"\n").split(b"\n")
-            tail = lines.pop()
-            yield lines
+            chunk = tail + block
+            cut = chunk.rfind(b"\n") + 1
+            tail = chunk[cut:]
+            if cut:
+                yield chunk[:cut]
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise TraceParseError(f"corrupt gzip input: {exc}") from exc
-    yield [tail]
+    yield tail
+
+
+def _regular_block(chunk: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The fields of a block whose every line the line loop would accept as is.
+
+    A block is regular when it ends at a ``\\n``, has no NUL byte (keys are
+    NUL-padded) and is valid UTF-8, and each of its lines holds exactly two
+    commas, a user id of 1 to _KEY_BYTES bytes before the first, an item id
+    of 1 to _KEY_BYTES bytes between them, and after the second 1 to _DIGITS
+    ASCII digits up to the ``\\n`` or a ``\\r`` just before it; no line
+    starts with ``#``. Returns the user keys, the item keys (see _field_keys)
+    and the int64 timestamps of its lines, or None for any other block.
+    """
+    if not chunk.endswith(b"\n") or b"\0" in chunk:
+        return None
+    # An id over _KEY_BYTES on the first line declines before any numpy pass.
+    comma = chunk.find(b",")
+    if comma > _KEY_BYTES or chunk.find(b",", comma + 1) - comma - 1 > _KEY_BYTES:
+        return None
+    if not chunk.isascii():
+        try:
+            chunk.decode()
+        except UnicodeDecodeError:
+            return None
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    commas = np.flatnonzero(b == ord(","))
+    if len(commas) != 2 * len(ends):
+        return None
+    # Line k's commas are commas 2k and 2k+1: the digits rule below puts the
+    # second before the line's end, with no comma after it.
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first, second = commas[0::2], commas[1::2]
+    if not (np.all(starts < first) and np.all(first + 1 < second)):
+        return None
+    if max((first - starts).max(), (second - first).max() - 1) > _KEY_BYTES:
+        return None
+    if np.any(b[starts] == ord("#")):
+        return None
+    stop = ends - (b[ends - 1] == ord("\r"))
+    digits = stop - second - 1
+    if digits.min() < 1 or digits.max() > _DIGITS:
+        return None
+    # Right-aligned digit columns; a position before the field adds a leading zero.
+    timestamps = np.zeros(len(ends), dtype=np.int64)
+    for k in range(int(digits.max()), 0, -1):
+        at = stop - k
+        digit = b[np.maximum(at, 0)] - np.uint8(ord("0"))
+        digit[at <= second] = 0
+        if digit.max() > 9:
+            return None
+        timestamps *= 10
+        timestamps += digit
+    return _field_keys(b, starts, first), _field_keys(b, first + 1, second), timestamps
+
+
+def _field_keys(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The fields ``b[lo:hi]``, of 1 to _KEY_BYTES bytes each, as uint64 keys.
+
+    A key holds its field's bytes big-endian, NUL-padded. With no NUL in the
+    fields, equal keys are equal fields.
+    """
+    rows = np.zeros((len(lo), _KEY_BYTES), dtype=np.uint8)
+    last = len(b) - 1
+    for j in range(int((hi - lo).max())):
+        at = lo + j
+        rows[:, j] = np.where(at < hi, b[np.minimum(at, last)], 0)
+    return rows.view(">u8").ravel().astype(np.uint64)
+
+
+class _IdTable:
+    """One column's ids, coded in order of first sight.
+
+    ``codes`` maps each id to its code, and both routes of the parse intern
+    into it. ``keys`` holds, sorted, the keys (see _field_keys) of the ids
+    that regular blocks have met, and ``key_codes`` their codes, so that a
+    block sends only the ids new to the trace to the dict. Each block that
+    meets new ids copies the two arrays once.
+    """
+
+    def __init__(self):
+        self.codes: dict[str, int] = {}
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.key_codes = np.empty(0, dtype=np.int32)
+
+    def block_codes(self, keys: np.ndarray) -> np.ndarray:
+        """The int32 codes of a regular block's keys; their new ids are interned."""
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        known = self.keys
+        at = np.searchsorted(known, distinct)
+        seen = np.zeros(len(distinct), dtype=bool)
+        inside = at < len(known)
+        seen[inside] = known[at[inside]] == distinct[inside]
+        codes = np.empty(len(distinct), dtype=np.int32)
+        codes[seen] = self.key_codes[at[seen]]
+        new = ~seen
+        # An 8-byte string drops its trailing NULs, the padding, in tolist().
+        ids = distinct[new].astype(">u8").view("S8").tolist()
+        table = self.codes
+        codes[new] = [table.setdefault(key.decode(), len(table)) for key in ids]
+        self.keys = np.insert(known, at[new], distinct[new])
+        self.key_codes = np.insert(self.key_codes, at[new], codes[new])
+        return codes[inverse.ravel()]
 
 
 def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseResult:
     """Parse canonical trace CSV into a Trace.
 
-    Accepts text, bytes or a binary file, read in blocks of READ_BLOCK bytes;
-    gzip-compressed input is decompressed transparently. Each line is decoded
-    on its own, and malformed lines (invalid UTF-8, wrong field count, bad or
-    out-of-range timestamp, empty ID) are rejected individually and reported
-    with their line numbers. Ids are interned as they are read, so no
-    per-record object is made.
+    Accepts text, bytes or a binary file, which need not seek, read in
+    blocks of READ_BLOCK bytes; gzip-compressed input is decompressed
+    transparently. A block in which every line is regular (see
+    _regular_block) is converted by whole numpy columns; any other block
+    goes through the line loop, which decodes each line on its own and
+    defines what a valid line is. Malformed lines
+    (invalid UTF-8, wrong field count, bad or out-of-range timestamp, empty
+    ID) are rejected individually and reported with their line numbers. Ids
+    are interned as they are read, so no per-record object is made.
 
     Raises:
         TraceParseError: when gzip input is truncated or corrupt, or when at
@@ -252,46 +398,60 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
         data = data.encode("utf-8", "surrogatepass")
     stream = io.BytesIO(data) if isinstance(data, bytes) else data
     magic = stream.read(2)
-    stream.seek(-len(magic), io.SEEK_CUR)
+    stream = _Prefixed(magic, stream)
     if magic == _GZIP_MAGIC:
         stream = gzip.GzipFile(fileobj=stream)
 
-    users: dict[str, int] = {}
-    items: dict[str, int] = {}
+    user_table, item_table = _IdTable(), _IdTable()
+    users, items = user_table.codes, item_table.codes
     user_codes, item_codes, timestamps = array("i"), array("i"), array("q")
-    rejected, data_lines = [], 0
-    for lineno, raw in enumerate(chain.from_iterable(_line_runs(stream)), start=1):
-        try:
-            line = raw.decode()  # UTF-8
-        except UnicodeDecodeError as exc:
+    rejected, data_lines, lineno = [], 0, 0
+    for chunk in _blocks(stream):
+        regular = _regular_block(chunk)
+        if regular is not None:
+            user_keys, item_keys, times = regular
+            user_codes.frombytes(user_table.block_codes(user_keys).view(np.uint8))
+            item_codes.frombytes(item_table.block_codes(item_keys).view(np.uint8))
+            timestamps.frombytes(times.view(np.uint8))
+            lineno += len(times)
+            data_lines += len(times)
+            continue
+        lines = chunk.replace(b"\r\n", b"\n").split(b"\n")
+        if chunk.endswith(b"\n"):
+            lines.pop()
+        for raw in lines:
+            lineno += 1
+            try:
+                line = raw.decode()  # UTF-8
+            except UnicodeDecodeError as exc:
+                data_lines += 1
+                rejected.append(ParseDiagnostic(lineno, f"invalid UTF-8 at byte {exc.start}: {exc.reason}"))
+                continue
+            if not line.strip() or line.startswith("#"):
+                continue
             data_lines += 1
-            rejected.append(ParseDiagnostic(lineno, f"invalid UTF-8 at byte {exc.start}: {exc.reason}"))
-            continue
-        if not line.strip() or line.startswith("#"):
-            continue
-        data_lines += 1
-        fields = line.split(",")
-        if len(fields) != 3:
-            rejected.append(ParseDiagnostic(lineno, f"expected 3 fields, got {len(fields)}"))
-            continue
-        user_id, item_id, ts_field = fields
-        try:
-            timestamp = int(ts_field)
-        except ValueError:
-            rejected.append(ParseDiagnostic(lineno, f"timestamp is not an integer: {ts_field!r}"))
-            continue
-        if timestamp < 0:
-            rejected.append(ParseDiagnostic(lineno, f"timestamp is negative: {timestamp}"))
-            continue
-        if timestamp >= _TIME_LIMIT:
-            rejected.append(ParseDiagnostic(lineno, f"timestamp is out of range: {timestamp}"))
-            continue
-        if not user_id or not item_id:
-            rejected.append(ParseDiagnostic(lineno, "empty user_id or item_id"))
-            continue
-        user_codes.append(users.setdefault(user_id, len(users)))
-        item_codes.append(items.setdefault(item_id, len(items)))
-        timestamps.append(timestamp)
+            fields = line.split(",")
+            if len(fields) != 3:
+                rejected.append(ParseDiagnostic(lineno, f"expected 3 fields, got {len(fields)}"))
+                continue
+            user_id, item_id, ts_field = fields
+            try:
+                timestamp = int(ts_field)
+            except ValueError:
+                rejected.append(ParseDiagnostic(lineno, f"timestamp is not an integer: {ts_field!r}"))
+                continue
+            if timestamp < 0:
+                rejected.append(ParseDiagnostic(lineno, f"timestamp is negative: {timestamp}"))
+                continue
+            if timestamp >= _TIME_LIMIT:
+                rejected.append(ParseDiagnostic(lineno, f"timestamp is out of range: {timestamp}"))
+                continue
+            if not user_id or not item_id:
+                rejected.append(ParseDiagnostic(lineno, "empty user_id or item_id"))
+                continue
+            user_codes.append(users.setdefault(user_id, len(users)))
+            item_codes.append(items.setdefault(item_id, len(items)))
+            timestamps.append(timestamp)
 
     if data_lines > 0 and not timestamps:
         raise TraceParseError(
@@ -302,8 +462,9 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
 
     user_ids, user_codes = _sorted_codes(list(users), user_codes)
     item_ids, item_codes = _sorted_codes(list(items), item_codes)
+    # A view of the array's buffer, not a copy.
     trace = Trace._from_columns(user_ids, user_codes, item_ids, item_codes,
-                                np.array(timestamps, dtype=np.int64))
+                                np.frombuffer(timestamps, dtype=np.int64))
     if sort:
         trace = trace.sorted_by_time()
     return ParseResult(trace=trace, rejected=tuple(rejected))

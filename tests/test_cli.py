@@ -1,11 +1,14 @@
 import contextlib
 import csv
 import gzip
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -56,6 +59,36 @@ def test_summary_gz_equivalent(fixture_trace, tmp_path):
     assert main(["summary", str(fixture_trace), "-o", str(out_plain)]) == 0
     assert main(["summary", str(gz_path), "-o", str(out_gz)]) == 0
     assert read(out_plain / "summary.csv") == read(out_gz / "summary.csv")
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_manifest_digest_is_sha256_of_the_file(tmp_path, monkeypatch, compress):
+    # The file is hashed as the parse reads it, the gzip magic it peeks at once.
+    monkeypatch.setattr("sharegraph.trace.READ_BLOCK", 1000)
+    data = render_trace(generate_synthetic_trace(50, 200, 3000, seed=2)).encode()
+    path = tmp_path / "trace.csv"
+    path.write_bytes(gzip.compress(data) if compress else data)
+    out = tmp_path / "out"
+    assert main(["summary", str(path), "-o", str(out)]) == 0
+    manifest = json.loads(read(out / "manifest.json"))
+    assert manifest["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_summary_reads_a_pipe(tmp_path, compress):
+    data = SIX_RECORD_CSV.encode()
+    data = gzip.compress(data) if compress else data
+    fifo = tmp_path / "trace.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        assert main(["summary", str(fifo), "-o", str(tmp_path / "out")]) == 0
+    finally:
+        writer.join()
+    assert read(tmp_path / "out" / "summary.csv").endswith("\n3,6,3,5\n")
+    manifest = json.loads(read(tmp_path / "out" / "manifest.json"))
+    assert manifest["input_sha256"] == hashlib.sha256(data).hexdigest()
 
 
 def test_summary_empty_file_precondition_exit(tmp_path, capsys):

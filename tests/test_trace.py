@@ -1,4 +1,5 @@
 import gzip
+import io
 import pickle
 import platform
 import subprocess
@@ -177,6 +178,103 @@ def test_parse_lines_straddling_read_blocks(monkeypatch, block):
     assert [d.line_number for d in expected.rejected] == [4, 5]
 
 
+class _ReadOnly:
+    """A stream that can only be read, as a pipe."""
+
+    def __init__(self, data):
+        self.read = io.BytesIO(data).read
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_parse_a_stream_that_cannot_seek(compress):
+    data = SIX_RECORD_CSV.encode()
+    stream = _ReadOnly(gzip.compress(data) if compress else data)
+    assert parse_trace(stream) == parse_trace(data)
+    assert parse_trace(_ReadOnly(b"\n")).trace == Trace()  # shorter than the magic
+
+
+# --- the vectorized route for regular blocks ---
+
+def test_regular_block_converts_fields():
+    chunk = "u1,i1,007\r\nuserid\u00e9,i1,999999999999999999\n".encode()  # 8-byte id
+    user_keys, item_keys, timestamps = trace_module._regular_block(chunk)
+    assert timestamps.tolist() == [7, 10**18 - 1]
+    assert len(np.unique(user_keys)) == 2 and len(np.unique(item_keys)) == 1
+    result = parse_trace(chunk)
+    assert [r.user_id for r in result.trace] == ["u1", "userid\u00e9"]
+    assert trace_module._regular_block(b"user_id8,item_id8,1\n") is not None
+
+
+@pytest.mark.parametrize("chunk", [
+    b"u,i,5",  # no final line break
+    b"u\0,i,5\n",  # NUL
+    b"u,i\xff,5\n",  # invalid UTF-8
+    b"a,b,1,2,3\n5\n",  # two commas a line on average only
+    b"u,i,5\n\n",  # blank line
+    b",i,5\n",  # empty user id
+    b"u,,5\n",  # empty item id
+    b"user_id_9,i,5\n", "u,user_id\u00e9\u00e9,5\n".encode(),  # an id over 8 bytes
+    b"u,i,5\nu,item_id_9,5\n",  # the same, after the first line
+    b"#u,i,5\n",  # comment
+    b"u,i,\n",  # no digits
+    b"u,i," + b"9" * 19 + b"\n",  # more than 18 digits
+    b"u,i,+5\n", b"u,i, 5\n", b"u,i,5_0\n", "u,i,٥\n".encode(),  # int() accepts these
+    b"u,i,5\r\r\n",  # a second \r is data
+])
+def test_irregular_blocks_go_to_the_line_loop(chunk):
+    assert trace_module._regular_block(chunk) is None
+
+
+_plain_ids = st.text(st.sampled_from("uvi7é"), min_size=1, max_size=4)
+_plain_stamps = st.one_of(st.integers(min_value=0, max_value=10**9).map(str),
+                          st.sampled_from(["0", "007", "9" * 18]))
+_odd_ids = st.one_of(st.sampled_from(["", "#u", "u\0", "7\0", "\0", "u\r", " ", "u,v",
+                                     "uuuuuuuu", "uuuuuuuuu", "uuuuuuué"]),
+                     st.text(st.sampled_from("u7é#\0\r ,"), max_size=10))
+_odd_stamps = st.sampled_from(["9" * 19, "1" + "0" * 18, "+5", " 5", "5 ", "5_0", "٥", "", "-3",
+                               "5\r", "5,6"])
+_line = "{},{},{}".format
+_regular_lines = st.builds(_line, _plain_ids, _plain_ids, _plain_stamps).map(str.encode)
+# An odd line is a regular line with one odd part, or one of a few odd lines.
+_odd_lines = st.one_of(
+    st.builds(_line, _odd_ids, _plain_ids, _plain_stamps).map(str.encode),
+    st.builds(_line, _plain_ids, _odd_ids, _plain_stamps).map(str.encode),
+    st.builds(_line, _plain_ids, _plain_ids, _odd_stamps).map(str.encode),
+    st.sampled_from([b"", b"  ", b"\t", b"# c", b"a,b,1,2,3", b"5", b"u,i", b"\r",
+                     b"u,i\xff,5", b"\xc3", b"u\xed\xa0\x80,i,5"]),
+)
+_lines_bytes = st.builds(
+    lambda lines, last_break: b"".join(line + end for line, end in lines)[
+        :None if last_break or not lines else -len(lines[-1][1])],
+    st.lists(st.tuples(st.one_of(_regular_lines, _regular_lines, _odd_lines),
+                       st.sampled_from([b"\n", b"\r\n"])), max_size=24),
+    st.booleans(),
+)
+
+
+def _parse_outcome(data):
+    """Everything a parse yields: columns, id tables and diagnostics, or the error."""
+    try:
+        result = parse_trace(data)
+    except TraceParseError as exc:
+        return str(exc), exc.diagnostics
+    t = result.trace
+    return (t.user_ids, t.item_ids, t.user_codes.tolist(), t.item_codes.tolist(),
+            t.timestamps.tolist(), result.rejected)
+
+
+@given(_lines_bytes, st.integers(min_value=1, max_value=64))
+@settings(max_examples=300, deadline=None)
+def test_vectorized_route_matches_line_loop(data, block):
+    # Small blocks mix both routes in one parse; declining every block
+    # leaves the line loop alone.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_module, "READ_BLOCK", block)
+        mixed = _parse_outcome(data)
+        mp.setattr(trace_module, "_regular_block", lambda chunk: None)
+        assert mixed == _parse_outcome(data)
+
+
 @pytest.fixture(scope="module")
 def big_trace_bytes():
     trace = generate_synthetic_trace(2000, 20000, 200_000, "zipf", seed=1)
@@ -195,18 +293,27 @@ def _traced_peak(parse):
 
 
 def test_parse_peak_memory_is_bounded(big_trace_bytes):
-    # One READ_BLOCK of line strings (about 6 MB) and the columns with their
-    # id tables (4 MB, plus the copies made while they are built) peak near
-    # 13 MB; holding every line at once, or an object per request, would
-    # pass the bound.
-    assert _traced_peak(lambda: parse_trace(big_trace_bytes, sort=True)) < 16 * 2**20
+    # The columns with their id tables and the code copies made while they
+    # are sorted, plus one READ_BLOCK's numpy temporaries, peak at 7.8 MiB;
+    # the bound leaves 1.2 MiB of margin. A second copy of the 3 MB input,
+    # or an object per request, would break it.
+    assert _traced_peak(lambda: parse_trace(big_trace_bytes, sort=True)) < 9 * 2**20
 
 
 def test_load_gzip_peak_memory_is_bounded(big_trace_bytes, tmp_path):
     # As above: the file is decompressed one block at a time, never whole.
     path = tmp_path / "trace.csv.gz"
     path.write_bytes(gzip.compress(big_trace_bytes))
-    assert _traced_peak(lambda: load_trace(path, sort=True)) < 16 * 2**20
+    assert _traced_peak(lambda: load_trace(path, sort=True)) < 9 * 2**20
+
+
+def test_parse_long_id_peak_memory_is_bounded(big_trace_bytes):
+    # One 100 kB id among the short ones sends its block to the line loop,
+    # and the peak rises to 8.4 MiB. Keys as wide as that id, one row per
+    # line of its block, would take about a gigabyte.
+    at = big_trace_bytes.index(b"\n", len(big_trace_bytes) // 2) + 1
+    data = big_trace_bytes[:at] + b"u" * 100_000 + big_trace_bytes[big_trace_bytes.index(b",", at):]
+    assert _traced_peak(lambda: parse_trace(data, sort=True)) < 9 * 2**20
 
 
 _FILL_TWICE = """
