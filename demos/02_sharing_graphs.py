@@ -9,7 +9,6 @@ strongest sharing relationships; nodes with no qualifying edge disappear.
 
 from sharegraph import (
     build_dsg,
-    connected_components,
     degree_distribution,
     generate_synthetic_trace,
     weight_distribution,
@@ -22,7 +21,7 @@ trace = generate_synthetic_trace(
 print("threshold  nodes  edges  components  weight median  weight mean")
 for threshold in (1, 2, 5, 10, 20):
     g = build_dsg(trace, threshold)
-    count, largest = connected_components(g)
+    count, largest = g.largest_component()
     w = weight_distribution(g)
     print(f"{threshold:9d}  {g.node_count:5d}  {g.edge_count:5d}  {count:10d}"
           f"  {w.median:13.1f}  {w.mean:11.2f}")

@@ -21,7 +21,6 @@ from .dsg import (
     DataSharingGraph,
     WeightDistribution,
     build_dsg,
-    connected_components,
     weight_distribution,
 )
 from .errors import (
@@ -95,7 +94,6 @@ __all__ = [
     "clustering_cc1",
     "clustering_cc2",
     "compare_window",
-    "connected_components",
     "connected_triple_count",
     "degree_distribution",
     "generate_clustered_trace",

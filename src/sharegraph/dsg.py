@@ -181,12 +181,3 @@ def weight_distribution(g: DataSharingGraph) -> WeightDistribution:
         mean=int(weights.sum()) / len(weights),
         median=float(np.median(weights)),
     )
-
-
-def connected_components(g: DataSharingGraph) -> tuple[int, DataSharingGraph]:
-    """Component count and the induced subgraph of the largest component.
-
-    Size ties break toward the component containing the lexicographically
-    smallest node id. An empty graph yields (0, empty graph).
-    """
-    return g.largest_component()

@@ -13,9 +13,10 @@ import numpy as np
 
 Node = Hashable
 
-# Entries per temporary array in the chunked passes over pairs and paths
-# (dsg.build_dsg, metrics triangle counting): 0.5 MB per int64 array, so a
-# dense window costs time in proportion to its work but no more memory.
+# Entries per temporary array in the chunked passes over pairs, paths and
+# packed adjacency rows (dsg.build_dsg, metrics triangle counting): 0.5 MB per
+# int64 or uint64 array, so a dense window costs time in proportion to its
+# work but no more memory.
 BLOCK = 1 << 16
 
 

@@ -50,11 +50,19 @@ def oracle_cc2(graph: Graph) -> float:
     return 3 * triangles / triples
 
 
+def oracle_node_triangles(graph: Graph) -> list[int]:
+    """Triangles through each node, in index order, by node-triple enumeration."""
+    count = dict.fromkeys(graph.nodes, 0)
+    for a, b, c in combinations(graph.nodes, 3):
+        if graph.has_edge(a, b) and graph.has_edge(b, c) and graph.has_edge(a, c):
+            count[a] += 1
+            count[b] += 1
+            count[c] += 1
+    return list(count.values())
+
+
 def oracle_triangles(graph: Graph) -> int:
-    return sum(
-        1 for a, b, c in combinations(graph.nodes, 3)
-        if graph.has_edge(a, b) and graph.has_edge(b, c) and graph.has_edge(a, c)
-    )
+    return sum(oracle_node_triangles(graph)) // 3
 
 
 # ---------------------------------------------------------------------------

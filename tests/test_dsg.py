@@ -9,7 +9,6 @@ from sharegraph import (
     TimeWindow,
     Trace,
     build_dsg,
-    connected_components,
     slice_window,
     weight_distribution,
 )
@@ -157,7 +156,7 @@ def test_weight_distribution_empty_graph():
 def test_components_two_triangles_tie_break():
     edges = {("d", "e"): 1, ("d", "f"): 1, ("e", "f"): 1,
              ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
-    count, largest = connected_components(DataSharingGraph(edges=edges, threshold=1))
+    count, largest = DataSharingGraph(edges=edges, threshold=1).largest_component()
     assert count == 2
     assert largest.nodes == ("a", "b", "c")
     assert largest.edge_count == 3
@@ -165,21 +164,21 @@ def test_components_two_triangles_tie_break():
 
 def test_components_whole_graph_connected():
     g = build_dsg(SHARED_TRACE, 1)
-    count, largest = connected_components(g)
+    count, largest = g.largest_component()
     assert count == 1
     assert largest == g
 
 
 def test_components_path_plus_pair_tie_break():
     edges = {("u1", "u2"): 1, ("u3", "u4"): 1}
-    count, largest = connected_components(DataSharingGraph(edges=edges, threshold=1))
+    count, largest = DataSharingGraph(edges=edges, threshold=1).largest_component()
     assert count == 2
     assert largest.nodes == ("u1", "u2")
     assert largest.edge_count == 1
 
 
 def test_components_empty():
-    count, largest = connected_components(DataSharingGraph(edges={}, threshold=1))
+    count, largest = DataSharingGraph(edges={}, threshold=1).largest_component()
     assert count == 0
     assert largest.node_count == 0
 
@@ -190,7 +189,7 @@ def test_components_match_union_find_oracle():
         trace = random_trace(rng, users=14, items=10, records=60)
         g = build_dsg(trace, 1)
         expected = oracle_components(g.nodes, g.edges)
-        count, largest = connected_components(g)
+        count, largest = g.largest_component()
         assert count == len(expected)
         if expected:
             assert set(largest.nodes) == set(expected[0])

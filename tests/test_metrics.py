@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,10 +109,46 @@ def test_clusterings_match_oracles():
 
 def test_triangles_in_small_path_runs_match_oracles(monkeypatch):
     monkeypatch.setattr(metrics_module, "BLOCK", 4)  # many runs, some over budget
+    monkeypatch.setattr(metrics_module, "_packed_is_cheaper", lambda *counts: False)
     for seed in range(10):
         g = gnm_random_graph(30, 150, seed=seed)
         assert triangle_count(g) == oracle_triangles(g)
         assert clustering_cc1(g) == pytest.approx(oracle_cc1(g), abs=1e-12)
+
+
+def _triangles_peak(g):
+    tracemalloc.start()
+    try:
+        tri = metrics_module._triangles(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return tri, peak
+
+
+def test_dense_graph_packed_kernel_peaks_below_the_path_pass(monkeypatch):
+    # Shaped like the affiliation-1m window (V=1,499, E=73k): its packed rows
+    # fit in one slab of 24 x 1,500 words. The packed kernel peaks at 4.5 MiB,
+    # the path pass at 5.5 MiB; the bound leaves 0.5 MiB of margin.
+    g = gnm_random_graph(1500, 73_000, seed=0)
+    packed, packed_peak = _triangles_peak(g)
+    monkeypatch.setattr(metrics_module, "_packed_is_cheaper", lambda *counts: False)
+    path, path_peak = _triangles_peak(g)
+    assert np.array_equal(packed, path)
+    assert packed_peak < path_peak
+    assert packed_peak < 5 * 2**20
+
+
+def test_sparse_graph_takes_the_path_pass_in_bounded_memory(monkeypatch):
+    # Full packed rows would take V^2/8 = 312 MB here. The path pass peaks at
+    # 6.9 MiB; the bound leaves 1.1 MiB of margin.
+    def refuse(*args):
+        raise AssertionError("a sparse graph went to the packed kernel")
+
+    monkeypatch.setattr(metrics_module, "_packed_support", refuse)
+    g = gnm_random_graph(50_000, 100_000, seed=0)
+    _, peak = _triangles_peak(g)
+    assert peak < 8 * 2**20
 
 
 def test_removing_an_edge_never_adds_triangles():

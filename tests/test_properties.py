@@ -5,6 +5,7 @@ isolated nodes, string ids and equal-size components."""
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,14 +18,17 @@ from sharegraph import (
     clustering_cc1,
     clustering_cc2,
     connected_triple_count,
+    gnm_random_graph,
     triangle_count,
 )
+from sharegraph import metrics as metrics_module
 from helpers import (
     make_trace,
     oracle_cc1,
     oracle_cc2,
     oracle_components,
     oracle_dsg_edges,
+    oracle_node_triangles,
     oracle_triangles,
 )
 
@@ -105,6 +109,40 @@ def test_path_length_matches_networkx(pair):
     assert average_path_length(largest, sample_fraction=1.0, seed=3) == exact
     want = nx.average_shortest_path_length(reference.subgraph(largest.nodes))
     assert abs(exact - want) <= 1e-12
+
+
+@st.composite
+def wide_graphs(draw):
+    """(random graph on up to 150 nodes, a slab budget of one or two words per row).
+
+    Over 64 nodes a packed row takes two or three words, so the budget splits
+    the rows into several slabs, the last one narrower when three words go
+    in slabs of two.
+    """
+    n = draw(st.one_of(st.integers(2, 64), st.integers(65, 128), st.integers(129, 150)))
+    m = draw(st.integers(0, min(n * (n - 1) // 2, 1500)))
+    g = gnm_random_graph(n, m, seed=draw(st.integers(0, 2**32 - 1)))
+    return g, draw(st.integers(1, 2)) * n + draw(st.integers(0, n - 1))
+
+
+@given(wide_graphs())
+@settings(max_examples=60, deadline=None)
+def test_each_triangle_kernel_matches_oracles(case):
+    g, small_budget = case
+    reference = nx.Graph(g.edges())
+    reference.add_nodes_from(g.nodes)
+    want = oracle_node_triangles(g)
+    assert want == [nx.triangles(reference, u) for u in g.nodes]
+    routes = [("path pass", False, metrics_module.BLOCK),
+              ("packed, one slab", True, metrics_module.BLOCK),
+              ("packed, small slabs", True, small_budget)]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, packed, budget in routes:
+            mp.setattr(metrics_module, "_packed_is_cheaper", lambda *counts, packed=packed: packed)
+            mp.setattr(metrics_module, "BLOCK", budget)
+            got = metrics_module._triangles(g)
+            assert got.dtype == np.int64, name
+            assert got.tolist() == want, name
 
 
 _rows = st.tuples(st.sampled_from([f"u{i}" for i in range(8)]),
