@@ -34,13 +34,10 @@ from .metrics import (
     DegreeDistribution,
     MetricsReport,
     average_path_length,
-    clustering_cc1,
-    clustering_cc2,
-    connected_triple_count,
+    clustering,
     degree_distribution,
     random_baselines,
     small_world_report,
-    triangle_count,
 )
 from .shuffle import (
     NullModelComparison,
@@ -91,10 +88,8 @@ __all__ = [
     "average_path_length",
     "build_bipartite",
     "build_dsg",
-    "clustering_cc1",
-    "clustering_cc2",
+    "clustering",
     "compare_window",
-    "connected_triple_count",
     "degree_distribution",
     "generate_clustered_trace",
     "generate_synthetic_trace",
@@ -111,7 +106,6 @@ __all__ = [
     "slice_window",
     "small_world_report",
     "summarize",
-    "triangle_count",
     "weight_distribution",
     "window_slices",
 ]

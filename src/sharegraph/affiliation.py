@@ -30,7 +30,7 @@ import numpy as np
 
 from .dsg import DataSharingGraph, build_dsg
 from .errors import EmptyTraceError
-from .metrics import clustering_cc2
+from .metrics import clustering
 from .trace import TimeWindow, Trace
 
 
@@ -161,7 +161,7 @@ def compare_window(
     v = projection.node_count
     if v > 0:
         measured_degree = 2 * e / v
-        measured_cc = clustering_cc2(projection)
+        measured_cc = clustering(projection)[1]
         if math.isnan(measured_cc):
             flags.append("measured_no_triples")
     else:

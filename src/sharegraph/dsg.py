@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -17,47 +16,27 @@ from .graph import BLOCK, Graph, symmetric_csr
 from .trace import TimeWindow, Trace
 
 
-def _check_threshold(threshold: int) -> None:
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
-
-
 class DataSharingGraph(Graph):
     """Weighted undirected user graph for one (window, threshold) pair.
 
     A CSR ``Graph`` whose ``weights`` hold, for each edge, the count of
-    distinct items its two users both requested. All weights are >=
-    ``threshold`` and every node has degree >= 1 by construction. Unlike
+    distinct items its two users both requested. ``build_dsg`` and
+    ``at_threshold`` make every weight >= ``threshold`` and every node's
+    degree >= 1; the constructor takes the CSR arrays as given. Unlike
     ``Graph.edges()``, ``edges`` here is the mapping (u, v) -> weight with
     u < v.
     """
 
     __slots__ = ("threshold", "window")
 
-    def __init__(self, edges: Mapping[tuple[str, str], int], threshold: int,
-                 window: TimeWindow | None = None):
-        _check_threshold(threshold)
-        for (u, v), weight in edges.items():
-            if u == v:
-                raise ValueError(f"self-edge not allowed: {u!r}")
-            if u > v:
-                raise ValueError(f"edge key must be ordered (u < v): {(u, v)!r}")
-            if weight < threshold:
-                raise ValueError(f"edge {(u, v)!r} weight {weight} below threshold {threshold}")
-        users = sorted({x for pair in edges for x in pair})
-        index = {u: i for i, u in enumerate(users)}
-        a = np.array([index[u] for u, _ in edges], dtype=np.int64)
-        b = np.array([index[v] for _, v in edges], dtype=np.int64)
-        w = np.fromiter(edges.values(), dtype=np.int64, count=len(edges))
-        self._set(tuple(users), *symmetric_csr(len(users), a, b, w))
+    def __init__(self, nodes: tuple, indptr: np.ndarray, indices: np.ndarray,
+                 weights: np.ndarray, threshold: int, window: TimeWindow | None = None):
+        super().__init__(nodes, indptr, indices, weights)
         self.threshold = threshold
         self.window = window
 
     def _derived(self, nodes, indptr, indices, weights) -> "DataSharingGraph":
-        g = super()._derived(nodes, indptr, indices, weights)
-        g.threshold = self.threshold
-        g.window = self.window
-        return g
+        return DataSharingGraph(nodes, indptr, indices, weights, self.threshold, self.window)
 
     def __eq__(self, other):
         equal = super().__eq__(other)
@@ -90,9 +69,7 @@ class DataSharingGraph(Graph):
             return self
         heavy = self.weights >= threshold
         linked = np.bincount(self.entry_rows()[heavy], minlength=self.node_count) > 0
-        g = self._restrict(linked, heavy)
-        g.threshold = threshold
-        return g
+        return DataSharingGraph(*self._restrict(linked, heavy), threshold, self.window)
 
 
 @dataclass(frozen=True)
@@ -150,7 +127,8 @@ def build_dsg(window_trace: Trace, threshold: int, window: TimeWindow | None = N
     same user do not raise weights. For several thresholds of one window,
     build at the lowest and take ``at_threshold`` for the others.
     """
-    _check_threshold(threshold)
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
     item, user_code = window_trace.incidences()
     codes, user = np.unique(user_code, return_inverse=True)
     n = len(codes)
@@ -161,13 +139,10 @@ def build_dsg(window_trace: Trace, threshold: int, window: TimeWindow | None = N
     linked = np.zeros(n, dtype=bool)
     linked[a] = linked[b] = True
     new_index = np.cumsum(linked) - 1
-    g = object.__new__(DataSharingGraph)
     users = window_trace.user_ids
-    g._set(tuple(users[c] for c in codes[linked].tolist()),
-           *symmetric_csr(int(linked.sum()), new_index[a], new_index[b], weight[heavy]))
-    g.threshold = threshold
-    g.window = window
-    return g
+    nodes = tuple(users[c] for c in codes[linked].tolist())
+    csr = symmetric_csr(len(nodes), new_index[a], new_index[b], weight[heavy])
+    return DataSharingGraph(nodes, *csr, threshold, window)
 
 
 def weight_distribution(g: DataSharingGraph) -> WeightDistribution:

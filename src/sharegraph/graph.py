@@ -7,7 +7,7 @@ id. Each undirected edge is stored once in each endpoint's row.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable
 
 import numpy as np
 
@@ -48,42 +48,27 @@ def symmetric_csr(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray | None = N
 class Graph:
     """Undirected simple graph over sortable hashable node ids.
 
-    ``indptr`` (length V + 1) and ``indices`` (length 2E) are read-only int64
-    arrays: the neighbours of node index i are
-    ``indices[indptr[i]:indptr[i + 1]]``, ascending. ``weights`` is None or
-    holds one value per entry of ``indices``. The arrays never change after
-    construction, so instances are safe to share across threads for
-    concurrent read-only traversal.
+    ``nodes`` is the tuple of ids in sorted order. ``indptr`` (length V + 1)
+    and ``indices`` (length 2E) are int64 arrays, made read-only here: the
+    neighbours of node index i are ``indices[indptr[i]:indptr[i + 1]]``,
+    ascending, and ``symmetric_csr`` builds them from index pairs.
+    ``weights`` is None or holds one value per entry of ``indices``. The
+    arrays never change after construction, so instances are safe to share
+    across threads for concurrent read-only traversal.
     """
 
-    __slots__ = ("nodes", "indptr", "indices", "weights", "_index", "_neighbor_sets")
+    __slots__ = ("nodes", "indptr", "indices", "weights")
 
-    def __init__(self, edges: Iterable[tuple[Node, Node]] = (), nodes: Iterable[Node] = ()):
-        pairs = list(edges)
-        ids = sorted({*nodes, *(x for pair in pairs for x in pair)})
-        index = {n: i for i, n in enumerate(ids)}
-        a = np.array([index[u] for u, _ in pairs], dtype=np.int64)
-        b = np.array([index[v] for _, v in pairs], dtype=np.int64)
-        loops = np.flatnonzero(a == b)
-        if loops.size:
-            raise ValueError(f"self-edge not allowed: {pairs[loops[0]][0]!r}")
-        self._set(tuple(ids), *symmetric_csr(len(ids), a, b))
-        self._index = index
-
-    def _set(self, nodes: tuple, indptr: np.ndarray, indices: np.ndarray,
-             weights: np.ndarray | None = None) -> None:
+    def __init__(self, nodes: tuple, indptr: np.ndarray, indices: np.ndarray,
+                 weights: np.ndarray | None = None):
         self.nodes = nodes
         self.indptr = _readonly(indptr)
         self.indices = _readonly(indices)
         self.weights = None if weights is None else _readonly(weights)
-        self._index = None
-        self._neighbor_sets = None
 
     def _derived(self, nodes, indptr, indices, weights) -> "Graph":
         """A graph of this one's type over new CSR arrays."""
-        g = object.__new__(type(self))
-        g._set(nodes, indptr, indices, weights)
-        return g
+        return Graph(nodes, indptr, indices, weights)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -113,28 +98,6 @@ class Graph:
     def entry_rows(self) -> np.ndarray:
         """The row (source node index) of every entry of ``indices``."""
         return np.repeat(np.arange(self.node_count), self.degrees())
-
-    def _position(self, u: Node) -> int:
-        if self._index is None:
-            self._index = {n: i for i, n in enumerate(self.nodes)}
-        return self._index[u]
-
-    def neighbors(self, u: Node) -> tuple[Node, ...]:
-        i = self._position(u)
-        return tuple(self.nodes[j] for j in self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
-
-    def degree(self, u: Node) -> int:
-        i = self._position(u)
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    def has_edge(self, u: Node, v: Node) -> bool:
-        """Edge test in constant time, from neighbour sets built on first use."""
-        if self._neighbor_sets is None:
-            nodes = self.nodes
-            rows = np.split(self.indices, self.indptr[1:-1])
-            self._neighbor_sets = {u: frozenset(nodes[j] for j in row.tolist())
-                                   for u, row in zip(nodes, rows)}
-        return v in self._neighbor_sets.get(u, ())
 
     def _upper(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, columns, entry mask) of the entries with row < column.
@@ -185,16 +148,6 @@ class Graph:
         roots, sizes = np.unique(label, return_counts=True)
         return label, roots[np.argsort(-sizes, kind="stable")]
 
-    def connected_components(self) -> list[tuple[Node, ...]]:
-        """Components as sorted node tuples, largest first (ties as in _components)."""
-        label, roots = self._components()
-        members = np.argsort(label, kind="stable")
-        bounds = np.searchsorted(label[members], roots)
-        sizes = np.bincount(label)[roots]
-        nodes = self.nodes
-        return [tuple(nodes[i] for i in members[s:s + k].tolist())
-                for s, k in zip(bounds.tolist(), sizes.tolist())]
-
     def largest_component(self) -> tuple[int, "Graph"]:
         """Component count and the induced subgraph of the largest component.
 
@@ -205,10 +158,13 @@ class Graph:
         label, roots = self._components()
         if len(roots) == 1:
             return 1, self
-        return len(roots), self._restrict(label == roots[0])
+        return len(roots), self._derived(*self._restrict(label == roots[0]))
 
-    def _restrict(self, node_keep: np.ndarray, entry_keep: np.ndarray | None = None) -> "Graph":
-        """Subgraph on the kept nodes and entries, relabelled in index order."""
+    def _restrict(self, node_keep: np.ndarray, entry_keep: np.ndarray | None = None) -> tuple:
+        """Subgraph on the kept nodes and entries, relabelled in index order.
+
+        Returns its (nodes, indptr, indices, weights), the constructor's arguments.
+        """
         rows = self.entry_rows()
         keep = node_keep[rows] & node_keep[self.indices]
         if entry_keep is not None:
@@ -217,18 +173,12 @@ class Graph:
         indptr = np.zeros(int(node_keep.sum()) + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows[keep], minlength=self.node_count)[node_keep], out=indptr[1:])
         nodes = self.nodes
-        return self._derived(
+        return (
             tuple(nodes[i] for i in np.flatnonzero(node_keep).tolist()),
             indptr,
             new_index[self.indices[keep]],
             None if self.weights is None else self.weights[keep],
         )
-
-    def subgraph(self, nodes: Iterable[Node]) -> "Graph":
-        """Subgraph induced by the given nodes (all of which must be present)."""
-        keep = np.zeros(self.node_count, dtype=bool)
-        keep[[self._position(u) for u in set(nodes)]] = True
-        return self._restrict(keep)
 
 
 def gnm_random_graph(n: int, m: int, seed: int = 0) -> Graph:
@@ -248,6 +198,4 @@ def gnm_random_graph(n: int, m: int, seed: int = 0) -> Graph:
     row_start = i * (2 * n - i - 1) // 2
     row = np.searchsorted(row_start, chosen, side="right") - 1
     col = chosen - row_start[row] + row + 1
-    g = object.__new__(Graph)
-    g._set(tuple(range(n)), *symmetric_csr(n, row, col))
-    return g
+    return Graph(tuple(range(n)), *symmetric_csr(n, row, col))

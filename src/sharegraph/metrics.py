@@ -132,8 +132,13 @@ def _triangles(g: Graph) -> np.ndarray:
     return tri
 
 
-def _clustering(g: Graph) -> tuple[float, float, int]:
-    """(cc1, cc2, triangles) from one triangle pass."""
+def clustering(g: Graph) -> tuple[float, float, int]:
+    """(cc1, cc2, triangles) of a graph, from one triangle pass.
+
+    cc1 is the mean over all nodes of (edges among neighbours) / (k(k-1)/2),
+    degree-0 and degree-1 nodes contributing 0, and NaN for an empty graph.
+    cc2 is 3 * triangles / connected triples, NaN when there are no triples.
+    """
     n = g.node_count
     deg = g.degrees()
     tri = _triangles(g)
@@ -148,30 +153,6 @@ def _clustering(g: Graph) -> tuple[float, float, int]:
         cc1 = float(np.cumsum(ratio)[-1]) / n
     cc2 = 3 * triangles / triples if triples else math.nan
     return cc1, cc2, triangles
-
-
-def clustering_cc1(g: Graph) -> float:
-    """Mean over all nodes of (edges among neighbors) / (k(k-1)/2).
-
-    Degree-0 and degree-1 nodes contribute 0. NaN for an empty graph.
-    """
-    return _clustering(g)[0]
-
-
-def clustering_cc2(g: Graph) -> float:
-    """3 * triangles / connected triples. NaN when the graph has no triples."""
-    return _clustering(g)[1]
-
-
-def triangle_count(g: Graph) -> int:
-    """Exact number of triangles."""
-    return _clustering(g)[2]
-
-
-def connected_triple_count(g: Graph) -> int:
-    """Number of (node, unordered neighbor pair) combinations."""
-    deg = g.degrees()
-    return int((deg * (deg - 1) // 2).sum())
 
 
 @dataclass(frozen=True)
@@ -356,7 +337,7 @@ def small_world_report(g: Graph, *, sample_fraction: float | None = None,
 
     lv, le = largest.node_count, largest.edge_count
 
-    cc1, cc2, _ = _clustering(largest)
+    cc1, cc2, _ = clustering(largest)
     if math.isnan(cc2):
         flags.append("cc2_no_triples")
 

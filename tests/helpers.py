@@ -11,35 +11,44 @@ from itertools import combinations
 
 import numpy as np
 
-from sharegraph import Graph, Trace, TraceRecord
+from sharegraph import DataSharingGraph, Graph, Trace, TraceRecord
+from sharegraph.graph import symmetric_csr
 
 
 # ---------------------------------------------------------------------------
 # clustering oracles
 
+def _adjacency(graph: Graph) -> dict:
+    """Each node's set of neighbours, from the sorted edge list."""
+    adj = {u: set() for u in graph.nodes}
+    for u, v in graph.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 def oracle_cc1(graph: Graph) -> float:
     if graph.node_count == 0:
         return float("nan")
+    adj = _adjacency(graph)
     total = 0.0
     for u in graph.nodes:
-        nb = sorted(graph.neighbors(u))
+        nb = sorted(adj[u])
         k = len(nb)
         if k < 2:
             continue
-        links = sum(1 for a, b in combinations(nb, 2) if graph.has_edge(a, b))
+        links = sum(1 for a, b in combinations(nb, 2) if b in adj[a])
         total += links / (k * (k - 1) / 2)
     return total / graph.node_count
 
 
 def oracle_cc2(graph: Graph) -> float:
     """Triangles and connected triples by explicit node-triple enumeration."""
+    adj = _adjacency(graph)
     triangles = 0
     triples = 0
     for a, b, c in combinations(graph.nodes, 3):
-        ab = graph.has_edge(a, b)
-        bc = graph.has_edge(b, c)
-        ac = graph.has_edge(a, c)
-        edges = ab + bc + ac
+        edges = (b in adj[a]) + (c in adj[b]) + (c in adj[a])
         if edges == 3:
             triangles += 1
             triples += 3
@@ -52,9 +61,10 @@ def oracle_cc2(graph: Graph) -> float:
 
 def oracle_node_triangles(graph: Graph) -> list[int]:
     """Triangles through each node, in index order, by node-triple enumeration."""
+    adj = _adjacency(graph)
     count = dict.fromkeys(graph.nodes, 0)
     for a, b, c in combinations(graph.nodes, 3):
-        if graph.has_edge(a, b) and graph.has_edge(b, c) and graph.has_edge(a, c):
+        if b in adj[a] and c in adj[b] and c in adj[a]:
             count[a] += 1
             count[b] += 1
             count[c] += 1
@@ -143,16 +153,37 @@ def central_d3(f, x: float, h: float = 1e-3) -> float:
 # ---------------------------------------------------------------------------
 # graph builders
 
+def _csr(edges, nodes=(), weights=None) -> tuple:
+    """(nodes, indptr, indices, weights) over the ids of the edges and nodes."""
+    pairs = list(edges)
+    ids = sorted({*nodes, *(x for pair in pairs for x in pair)})
+    index = {n: i for i, n in enumerate(ids)}
+    a = np.array([index[u] for u, _ in pairs], dtype=np.int64)
+    b = np.array([index[v] for _, v in pairs], dtype=np.int64)
+    return (tuple(ids), *symmetric_csr(len(ids), a, b, weights))
+
+
+def graph(edges, nodes=()) -> Graph:
+    """Graph over the edges' endpoints and the listed nodes; repeated edges collapse."""
+    return Graph(*_csr(edges, nodes))
+
+
+def dsg(mapping: dict, threshold: int = 1) -> DataSharingGraph:
+    """DataSharingGraph from a mapping (u, v) -> weight with u < v."""
+    weights = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
+    return DataSharingGraph(*_csr(mapping, weights=weights), threshold)
+
+
 def complete_graph(n: int) -> Graph:
-    return Graph(combinations(range(n), 2))
+    return graph(combinations(range(n), 2))
 
 
 def path_graph(n: int) -> Graph:
-    return Graph((i, i + 1) for i in range(n - 1))
+    return graph((i, i + 1) for i in range(n - 1))
 
 
 def star_graph(leaves: int) -> Graph:
-    return Graph(("c", f"x{i}") for i in range(leaves))
+    return graph(("c", f"x{i}") for i in range(leaves))
 
 
 def ring_of_cliques(num_cliques: int, clique_size: int) -> Graph:
@@ -162,7 +193,7 @@ def ring_of_cliques(num_cliques: int, clique_size: int) -> Graph:
         members = [(g, i) for i in range(clique_size)]
         edges.extend(combinations(members, 2))
         edges.append(((g, 0), ((g + 1) % num_cliques, 1)))
-    return Graph(edges)
+    return graph(edges)
 
 
 def random_connected_graph(n: int, m: int, seed: int = 0) -> Graph:
@@ -178,7 +209,7 @@ def random_connected_graph(n: int, m: int, seed: int = 0) -> Graph:
         u, v = (int(x) for x in rng.integers(0, n, size=2))
         if u != v:
             edges.add(tuple(sorted((u, v))))
-    return Graph(edges, nodes=range(n))
+    return graph(edges, nodes=range(n))
 
 
 def random_tree(n: int, seed: int = 0) -> Graph:

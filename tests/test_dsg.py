@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sharegraph import (
-    DataSharingGraph,
     TimeWindow,
     Trace,
     build_dsg,
@@ -13,7 +12,7 @@ from sharegraph import (
     weight_distribution,
 )
 from sharegraph import dsg as dsg_module
-from helpers import make_trace, oracle_dsg_edges, oracle_components, random_trace
+from helpers import dsg, make_trace, oracle_dsg_edges, oracle_components, random_trace
 
 SHARED_TRACE = make_trace([
     ("u1", "f1"), ("u1", "f2"), ("u2", "f2"),
@@ -57,15 +56,6 @@ def test_repeat_requests_do_not_raise_weights():
     trace = make_trace([("u1", "f1"), ("u1", "f1"), ("u1", "f1"), ("u2", "f1")])
     g = build_dsg(trace, 1)
     assert g.edges == {("u1", "u2"): 1}
-
-
-def test_graph_invariants_enforced():
-    with pytest.raises(ValueError):
-        DataSharingGraph(edges={("b", "a"): 1}, threshold=1)
-    with pytest.raises(ValueError):
-        DataSharingGraph(edges={("a", "a"): 1}, threshold=1)
-    with pytest.raises(ValueError):
-        DataSharingGraph(edges={("a", "b"): 1}, threshold=2)
 
 
 def test_record_order_does_not_matter():
@@ -124,7 +114,7 @@ def test_window_monotonicity():
 # --- weight distribution ---
 
 def test_weight_distribution_basic():
-    g = DataSharingGraph(edges={("a", "b"): 1, ("b", "c"): 2, ("c", "d"): 1}, threshold=1)
+    g = dsg({("a", "b"): 1, ("b", "c"): 2, ("c", "d"): 1})
     dist = weight_distribution(g)
     assert dist.counts == {1: 2, 2: 1}
     assert dist.mean == pytest.approx(4 / 3)
@@ -133,19 +123,19 @@ def test_weight_distribution_basic():
 
 def test_weight_distribution_constant_weights():
     edges = {(f"u{i:02d}", f"v{i:02d}"): 356 for i in range(9)}
-    dist = weight_distribution(DataSharingGraph(edges=edges, threshold=1))
+    dist = weight_distribution(dsg(edges))
     assert dist.median == 356
 
 
 def test_weight_distribution_single_edge():
-    dist = weight_distribution(DataSharingGraph(edges={("a", "b"): 5}, threshold=1))
+    dist = weight_distribution(dsg({("a", "b"): 5}))
     assert dist.counts == {5: 1}
     assert dist.mean == 5
     assert dist.median == 5
 
 
 def test_weight_distribution_empty_graph():
-    dist = weight_distribution(DataSharingGraph(edges={}, threshold=1))
+    dist = weight_distribution(dsg({}))
     assert dist.counts == {}
     assert math.isnan(dist.median)
     assert math.isnan(dist.mean)
@@ -156,7 +146,7 @@ def test_weight_distribution_empty_graph():
 def test_components_two_triangles_tie_break():
     edges = {("d", "e"): 1, ("d", "f"): 1, ("e", "f"): 1,
              ("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
-    count, largest = DataSharingGraph(edges=edges, threshold=1).largest_component()
+    count, largest = dsg(edges).largest_component()
     assert count == 2
     assert largest.nodes == ("a", "b", "c")
     assert largest.edge_count == 3
@@ -171,14 +161,14 @@ def test_components_whole_graph_connected():
 
 def test_components_path_plus_pair_tie_break():
     edges = {("u1", "u2"): 1, ("u3", "u4"): 1}
-    count, largest = DataSharingGraph(edges=edges, threshold=1).largest_component()
+    count, largest = dsg(edges).largest_component()
     assert count == 2
     assert largest.nodes == ("u1", "u2")
     assert largest.edge_count == 1
 
 
 def test_components_empty():
-    count, largest = DataSharingGraph(edges={}, threshold=1).largest_component()
+    count, largest = dsg({}).largest_component()
     assert count == 0
     assert largest.node_count == 0
 

@@ -6,21 +6,19 @@ import pytest
 
 from sharegraph import (
     DisconnectedGraphError,
-    Graph,
     average_path_length,
     build_dsg,
-    clustering_cc1,
-    clustering_cc2,
-    connected_triple_count,
+    clustering,
+    compare_window,
     degree_distribution,
     gnm_random_graph,
     random_baselines,
     small_world_report,
-    triangle_count,
 )
 from sharegraph import metrics as metrics_module
 from helpers import (
     complete_graph,
+    graph,
     make_trace,
     oracle_cc1,
     oracle_cc2,
@@ -34,61 +32,59 @@ from helpers import (
 
 TRIANGLE = complete_graph(3)
 PATH3 = path_graph(3)
-K4_MINUS_EDGE = Graph([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+K4_MINUS_EDGE = graph([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 
 
 # --- clustering, mean-of-node-ratios form ---
 
 def test_cc1_triangle():
-    assert clustering_cc1(TRIANGLE) == 1.0
+    assert clustering(TRIANGLE)[0] == 1.0
 
 
 def test_cc1_path():
-    assert clustering_cc1(PATH3) == 0.0
+    assert clustering(PATH3)[0] == 0.0
 
 
 def test_cc1_k4_minus_edge():
-    assert clustering_cc1(K4_MINUS_EDGE) == pytest.approx(5 / 6, abs=1e-15)
+    assert clustering(K4_MINUS_EDGE)[0] == pytest.approx(5 / 6, abs=1e-15)
 
 
 def test_cc1_empty_graph_is_nan():
-    assert math.isnan(clustering_cc1(Graph()))
+    assert math.isnan(clustering(graph([]))[0])
 
 
 # --- clustering, triangle-ratio form ---
 
 def test_cc2_triangle():
-    assert clustering_cc2(TRIANGLE) == 1.0
+    assert clustering(TRIANGLE)[1] == 1.0
 
 
 def test_cc2_path():
-    assert clustering_cc2(PATH3) == 0.0
+    assert clustering(PATH3)[1] == 0.0
 
 
 def test_cc2_k4_minus_edge():
     # triples: C(2,2)*2 + C(3,2)*2 = 1+1+3+3 = 8; triangles: 2
-    assert connected_triple_count(K4_MINUS_EDGE) == 8
-    assert triangle_count(K4_MINUS_EDGE) == 2
-    assert clustering_cc2(K4_MINUS_EDGE) == 0.75
+    _, cc2, triangles = clustering(K4_MINUS_EDGE)
+    assert triangles == 2
+    assert cc2 == 0.75
 
 
 def test_cc2_no_triples_is_nan():
-    single_edge = Graph([(0, 1)])
-    assert math.isnan(clustering_cc2(single_edge))
+    single_edge = graph([(0, 1)])
+    assert math.isnan(clustering(single_edge)[1])
 
 
 def test_both_clusterings_one_on_complete_graphs():
     for n in (3, 5, 8):
         g = complete_graph(n)
-        assert clustering_cc1(g) == 1.0
-        assert clustering_cc2(g) == 1.0
+        assert clustering(g)[:2] == (1.0, 1.0)
 
 
 def test_both_clusterings_zero_on_trees():
     for seed in range(5):
         tree = random_tree(30, seed=seed)
-        assert clustering_cc1(tree) == 0.0
-        assert clustering_cc2(tree) == 0.0
+        assert clustering(tree)[:2] == (0.0, 0.0)
 
 
 def test_clusterings_match_oracles():
@@ -98,9 +94,9 @@ def test_clusterings_match_oracles():
         max_m = n * (n - 1) // 2
         m = int(rng.integers(0, max_m + 1))
         g = gnm_random_graph(n, m, seed=int(rng.integers(0, 2**31)))
-        expected1, got1 = oracle_cc1(g), clustering_cc1(g)
-        assert got1 == pytest.approx(expected1, abs=1e-12)
-        expected2, got2 = oracle_cc2(g), clustering_cc2(g)
+        got1, got2, _ = clustering(g)
+        assert got1 == pytest.approx(oracle_cc1(g), abs=1e-12)
+        expected2 = oracle_cc2(g)
         if math.isnan(expected2):
             assert math.isnan(got2)
         else:
@@ -112,8 +108,9 @@ def test_triangles_in_small_path_runs_match_oracles(monkeypatch):
     monkeypatch.setattr(metrics_module, "_packed_is_cheaper", lambda *counts: False)
     for seed in range(10):
         g = gnm_random_graph(30, 150, seed=seed)
-        assert triangle_count(g) == oracle_triangles(g)
-        assert clustering_cc1(g) == pytest.approx(oracle_cc1(g), abs=1e-12)
+        cc1, _, triangles = clustering(g)
+        assert triangles == oracle_triangles(g)
+        assert cc1 == pytest.approx(oracle_cc1(g), abs=1e-12)
 
 
 def _triangles_peak(g):
@@ -154,12 +151,12 @@ def test_sparse_graph_takes_the_path_pass_in_bounded_memory(monkeypatch):
 def test_removing_an_edge_never_adds_triangles():
     rng = np.random.default_rng(43)
     g = gnm_random_graph(25, 90, seed=9)
-    base = triangle_count(g)
+    base = clustering(g)[2]
     assert base == oracle_triangles(g)
     edges = g.edges()
     for idx in rng.choice(len(edges), size=10, replace=False):
         reduced = [e for k, e in enumerate(edges) if k != idx]
-        assert triangle_count(Graph(reduced, nodes=g.nodes)) <= base
+        assert clustering(graph(reduced, nodes=g.nodes))[2] <= base
 
 
 # --- degree distribution ---
@@ -196,14 +193,14 @@ def test_path_length_star10():
 
 
 def test_path_length_disconnected_raises():
-    g = Graph([(0, 1), (2, 3)])
+    g = graph([(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         average_path_length(g)
 
 
 def test_path_length_needs_two_nodes():
     with pytest.raises(ValueError):
-        average_path_length(Graph(nodes=[0]))
+        average_path_length(graph([], nodes=[0]))
 
 
 def test_sampled_fraction_one_equals_exact():
@@ -297,7 +294,7 @@ def test_report_on_matched_random_graph_is_not_small_world():
 
 
 def test_report_empty_graph_flagged():
-    report = small_world_report(Graph())
+    report = small_world_report(graph([]))
     assert report.flags == ("empty_graph",)
     assert report.node_count == 0
     assert math.isnan(report.cc1)
@@ -305,7 +302,7 @@ def test_report_empty_graph_flagged():
 
 def test_report_uses_largest_component():
     # triangle plus a far-away edge: metrics come from the triangle
-    g = Graph([(0, 1), (0, 2), (1, 2), (10, 11)])
+    g = graph([(0, 1), (0, 2), (1, 2), (10, 11)])
     report = small_world_report(g)
     assert report.component_count == 2
     assert report.largest_component_nodes == 3
@@ -322,8 +319,19 @@ def test_report_sampled_method_recorded():
 def test_report_json_round_trip_with_nan_as_null():
     import json
 
-    report = small_world_report(Graph([(0, 1)]))  # no triples: cc2 is NaN
+    report = small_world_report(graph([(0, 1)]))  # no triples: cc2 is NaN
     payload = json.loads(report.to_json())
     assert payload["cc2"] is None
     assert payload["node_count"] == 2
     assert payload["flags"] == ["cc2_no_triples", "l_random_unstable"]
+
+
+def test_one_triangle_pass_per_report_and_per_window(monkeypatch):
+    passes = []
+    triangles = metrics_module._triangles
+    monkeypatch.setattr(metrics_module, "_triangles", lambda g: passes.append(g) or triangles(g))
+    small_world_report(ring_of_cliques(5, 4))
+    assert len(passes) == 1
+    trace = make_trace([("u1", "f1"), ("u2", "f1"), ("u3", "f1"), ("u3", "f2"), ("u4", "f2")])
+    assert compare_window(trace)[1].clustering_measured == 0.6
+    assert len(passes) == 2
