@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BLOCK, Graph, symmetric_csr
+from .graph import BLOCK, Graph
 from .trace import TimeWindow, Trace
 
 
@@ -22,9 +22,7 @@ class DataSharingGraph(Graph):
     A CSR ``Graph`` whose ``weights`` hold, for each edge, the count of
     distinct items its two users both requested. ``build_dsg`` and
     ``at_threshold`` make every weight >= ``threshold`` and every node's
-    degree >= 1; the constructor takes the CSR arrays as given. Unlike
-    ``Graph.edges()``, ``edges`` here is the mapping (u, v) -> weight with
-    u < v.
+    degree >= 1; the constructor takes the CSR arrays as given.
     """
 
     __slots__ = ("threshold", "window")
@@ -45,13 +43,6 @@ class DataSharingGraph(Graph):
         return self.threshold == other.threshold and self.window == other.window
 
     __hash__ = None
-
-    @property
-    def edges(self) -> dict[tuple[str, str], int]:
-        rows, cols, keep = self._upper()
-        nodes = self.nodes
-        return {(nodes[a], nodes[b]): w
-                for a, b, w in zip(rows.tolist(), cols.tolist(), self.weights[keep].tolist())}
 
     def edge_weights(self) -> np.ndarray:
         """The weight of every edge, once each, in sorted edge order."""
@@ -85,64 +76,75 @@ class WeightDistribution:
         return sum(self.counts.values())
 
 
-def _pair_weights(user: np.ndarray, group_end: np.ndarray, n_users: int):
-    """Distinct user pairs (as a * n_users + b, a < b) and their shared-item counts.
+def _row_counts(item: np.ndarray, user: np.ndarray, n_users: int, threshold: int):
+    """Keys a * n_users + b of the user pairs sharing >= ``threshold`` items, and those counts.
 
-    ``user`` lists the distinct (item, user) incidences grouped by item with
-    users ascending inside a group; ``group_end[j]`` is the end of
-    incidence j's group. Incidence j pairs with every later one of its group.
-    Incidences are taken in runs of at most BLOCK pairs, so no temporary
-    array holds more than one run's pairs (or one incidence's, if more).
+    ``item`` and ``user`` list the distinct (item, user) incidences by item,
+    then user. Taken in user order, each incidence pairs its user a with
+    every other user b of its item, so row a of the user x user product
+    gathers all its pairs (a, b) (Gustavson's row-wise sparse product).
+    Rows are taken whole in runs of at most BLOCK pairs (one row, if it alone
+    has more), and each run's keys are counted and thresholded there. So every
+    run's counts are final, the runs follow one another in key order, and the
+    result, both directions of every edge, is already in CSR order. Apart
+    from the result and the per-incidence columns, no temporary array holds
+    more than one run's pairs.
     """
-    if not len(user):
-        return user, user
-    later = group_end - np.arange(len(user)) - 1
-    done = np.cumsum(later)
-    keys, counts = [], []
-    start = 0
-    while start < len(user):
-        before = int(done[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(done, before + BLOCK, side="right")))
-        run = later[start:stop]
-        first = np.repeat(np.arange(start, stop), run)
-        offset = np.arange(len(first)) - np.repeat(np.cumsum(run) - run, run)
-        pair = user[first] * n_users + user[first + 1 + offset]
+    start = np.searchsorted(item, item)
+    order = np.argsort(user, kind="stable")
+    others = np.searchsorted(item, item, side="right")[order] - start[order] - 1
+    bound = np.searchsorted(user[order], np.arange(n_users + 1))  # where each row starts
+    done = np.concatenate(([0], np.cumsum(others)))[bound]  # pairs of the rows before each row
+    keys, counts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    row = 0
+    while row < n_users:
+        stop = max(row + 1, int(np.searchsorted(done, done[row] + BLOCK, side="right")) - 1)
+        taken = slice(bound[row], bound[stop])
+        run = others[taken]
+        first = np.repeat(order[taken], run)
+        # incidence j's k-th partner sits at start[j] + k, or one further once past j
+        partner = start[first] + np.arange(len(first)) - np.repeat(np.cumsum(run) - run, run)
+        partner += partner >= first
+        pair = user[first] * n_users + user[partner]
+        del first, partner  # freed before np.unique copies the keys
         k, c = np.unique(pair, return_counts=True)
-        keys.append(k)
-        counts.append(c)
-        start = stop
-    if len(keys) == 1:
-        return keys[0], counts[0]
-    pair, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    return pair, np.bincount(inverse, weights=np.concatenate(counts)).astype(np.int64)
+        heavy = c >= threshold
+        keys.append(k[heavy])
+        counts.append(c[heavy])
+        row = stop
+    return np.concatenate(keys), np.concatenate(counts)
 
 
 def build_dsg(window_trace: Trace, threshold: int, window: TimeWindow | None = None) -> DataSharingGraph:
     """Build the data-sharing graph of a window trace.
 
-    Pair weights are counted item by item: every pair of distinct users of
-    one item shares it. The pairs are expanded with array operations over the
-    window's distinct (user, item) incidences, which never touches the
-    quadratically many user pairs that share nothing. Repeat requests by the
-    same user do not raise weights. For several thresholds of one window,
-    build at the lowest and take ``at_threshold`` for the others.
+    Pair weights are counted row by row: user a's row holds, for every other
+    user b who requested one of a's items, the number of items both
+    requested. The rows are expanded with array operations over the window's
+    distinct (user, item) incidences, which never touches the quadratically
+    many user pairs that share nothing, and pairs below ``threshold`` are
+    dropped as each run of rows is counted (``_row_counts``). The counted
+    rows are the graph's CSR rows; only users left without entries go.
+    Memory beyond the graph is one run of ``graph.BLOCK`` pairs plus arrays
+    over the incidences. Repeat requests by the same user do not raise
+    weights. For several thresholds of one window, build at the lowest and
+    take ``at_threshold`` for the others.
     """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     item, user_code = window_trace.incidences()
     codes, user = np.unique(user_code, return_inverse=True)
     n = len(codes)
-    pair, weight = _pair_weights(user, np.searchsorted(item, item, side="right"), n)
+    key, weights = _row_counts(item, user, n, threshold)
 
-    heavy = weight >= threshold
-    a, b = np.divmod(pair[heavy], max(n, 1))
-    linked = np.zeros(n, dtype=bool)
-    linked[a] = linked[b] = True
-    new_index = np.cumsum(linked) - 1
+    degree = np.diff(np.searchsorted(key, np.arange(n + 1) * n))
+    linked = degree > 0
+    indptr = np.zeros(int(linked.sum()) + 1, dtype=np.int64)
+    np.cumsum(degree[linked], out=indptr[1:])
+    indices = (np.cumsum(linked) - 1)[key % max(n, 1)]
     users = window_trace.user_ids
     nodes = tuple(users[c] for c in codes[linked].tolist())
-    csr = symmetric_csr(len(nodes), new_index[a], new_index[b], weight[heavy])
-    return DataSharingGraph(nodes, *csr, threshold, window)
+    return DataSharingGraph(nodes, indptr, indices, weights, threshold, window)
 
 
 def weight_distribution(g: DataSharingGraph) -> WeightDistribution:

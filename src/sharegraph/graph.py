@@ -14,9 +14,11 @@ import numpy as np
 Node = Hashable
 
 # Entries per temporary array in the chunked passes over pairs, paths and
-# packed adjacency rows (dsg.build_dsg, metrics triangle counting): 0.5 MB per
-# int64 or uint64 array, so a dense window costs time in proportion to its
-# work but no more memory.
+# packed adjacency rows (metrics triangle counting, and dsg.build_dsg, which
+# counts whole rows of user pairs in runs of at most this many, or one row if
+# it alone has more, and thresholds each run as it goes): 0.5 MB per int64 or
+# uint64 array, so a dense window costs time in proportion to its work but no
+# more memory beyond its result.
 BLOCK = 1 << 16
 
 
@@ -25,24 +27,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def symmetric_csr(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None):
-    """(indptr, indices, weights) of the undirected edges a[k]-b[k] on n nodes.
+def symmetric_csr(n: int, a: np.ndarray, b: np.ndarray):
+    """(indptr, indices) of the undirected edges a[k]-b[k] on n nodes.
 
-    Repeated edges collapse into one when unweighted; weighted edges must be
-    distinct. ``weights`` is None when ``w`` is.
+    Repeated edges collapse into one.
     """
-    rows = np.concatenate([a, b])
-    key = rows * n + np.concatenate([b, a])
-    if w is None:
-        key = np.unique(key)
-        weights = None
-    else:
-        order = np.argsort(key)
-        key = key[order]
-        weights = np.concatenate([w, w])[order]
+    key = np.unique(np.concatenate([a, b]) * n + np.concatenate([b, a]))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(key // max(n, 1), minlength=n), out=indptr[1:])
-    return indptr, key % max(n, 1), weights
+    return indptr, key % max(n, 1)
 
 
 class Graph:
@@ -51,7 +44,7 @@ class Graph:
     ``nodes`` is the tuple of ids in sorted order. ``indptr`` (length V + 1)
     and ``indices`` (length 2E) are int64 arrays, made read-only here: the
     neighbours of node index i are ``indices[indptr[i]:indptr[i + 1]]``,
-    ascending, and ``symmetric_csr`` builds them from index pairs.
+    ascending; ``symmetric_csr`` builds them from unweighted index pairs.
     ``weights`` is None or holds one value per entry of ``indices``. The
     arrays never change after construction, so instances are safe to share
     across threads for concurrent read-only traversal.

@@ -153,25 +153,35 @@ def central_d3(f, x: float, h: float = 1e-3) -> float:
 # ---------------------------------------------------------------------------
 # graph builders
 
-def _csr(edges, nodes=(), weights=None) -> tuple:
-    """(nodes, indptr, indices, weights) over the ids of the edges and nodes."""
-    pairs = list(edges)
-    ids = sorted({*nodes, *(x for pair in pairs for x in pair)})
-    index = {n: i for i, n in enumerate(ids)}
-    a = np.array([index[u] for u, _ in pairs], dtype=np.int64)
-    b = np.array([index[v] for _, v in pairs], dtype=np.int64)
-    return (tuple(ids), *symmetric_csr(len(ids), a, b, weights))
+def _ids(edges, nodes=()) -> tuple[list, dict]:
+    """The sorted ids of the edges and nodes, and each id's index."""
+    ids = sorted({*nodes, *(x for pair in edges for x in pair)})
+    return ids, {n: i for i, n in enumerate(ids)}
 
 
 def graph(edges, nodes=()) -> Graph:
     """Graph over the edges' endpoints and the listed nodes; repeated edges collapse."""
-    return Graph(*_csr(edges, nodes))
+    pairs = list(edges)
+    ids, index = _ids(pairs, nodes)
+    a = np.array([index[u] for u, _ in pairs], dtype=np.int64)
+    b = np.array([index[v] for _, v in pairs], dtype=np.int64)
+    return Graph(tuple(ids), *symmetric_csr(len(ids), a, b))
 
 
 def dsg(mapping: dict, threshold: int = 1) -> DataSharingGraph:
     """DataSharingGraph from a mapping (u, v) -> weight with u < v."""
-    weights = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
-    return DataSharingGraph(*_csr(mapping, weights=weights), threshold)
+    ids, index = _ids(mapping)
+    entries = sorted((index[p], index[q], w) for (u, v), w in mapping.items()
+                     for p, q in ((u, v), (v, u)))
+    rows, cols, weights = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(ids)), out=indptr[1:])
+    return DataSharingGraph(tuple(ids), indptr, cols, weights, threshold)
+
+
+def weighted_edges(g: DataSharingGraph) -> dict:
+    """The mapping (u, v) -> weight, u < v, of a data-sharing graph's edges."""
+    return dict(zip(g.edges(), g.edge_weights().tolist()))
 
 
 def complete_graph(n: int) -> Graph:

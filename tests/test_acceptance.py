@@ -32,6 +32,7 @@ from helpers import (
     oracle_dsg_edges,
     random_connected_graph,
     random_trace,
+    weighted_edges,
 )
 
 
@@ -86,7 +87,7 @@ def test_criterion_3_dsg_oracle_equivalence():
         for threshold in (1, 2, 3):
             built = build_dsg(trace, threshold)
             expected = oracle_dsg_edges(trace, threshold)
-            assert built.edges == expected
+            assert weighted_edges(built) == expected
             expected_nodes = sorted({u for pair in expected for u in pair})
             assert list(built.nodes) == expected_nodes  # isolated users removed
     ok("criterion 3: build_dsg matches the all-pairs intersection oracle on 500 traces")

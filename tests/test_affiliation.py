@@ -21,6 +21,7 @@ from helpers import (
     oracle_dsg_edges,
     poly_eval,
     random_trace,
+    weighted_edges,
 )
 
 
@@ -137,7 +138,7 @@ def test_projection_is_threshold_one_graph():
         trace = random_trace(rng, users=10, items=8, records=50)
         projection = oracle_dsg_edges(trace, 1)
         g = build_dsg(trace, 1)
-        assert g.edges == projection
+        assert weighted_edges(g) == projection
         sharing_users = {u for pair in projection for u in pair}
         assert set(g.nodes) == sharing_users
 

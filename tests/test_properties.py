@@ -26,6 +26,7 @@ from helpers import (
     oracle_dsg_edges,
     oracle_node_triangles,
     oracle_triangles,
+    weighted_edges,
 )
 
 
@@ -147,4 +148,4 @@ def test_filtering_a_lower_threshold_equals_building_at_it(rows, threshold):
     trace = make_trace(rows)
     base = build_dsg(trace, 1)
     assert base.at_threshold(threshold) == build_dsg(trace, threshold)
-    assert base.at_threshold(threshold).edges == oracle_dsg_edges(trace, threshold)
+    assert weighted_edges(base.at_threshold(threshold)) == oracle_dsg_edges(trace, threshold)
