@@ -12,35 +12,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BLOCK, Graph
+from .graph import BLOCK, Graph, _readonly
 from .trace import TimeWindow, Trace
 
 
 class DataSharingGraph(Graph):
     """Weighted undirected user graph for one (window, threshold) pair.
 
-    A CSR ``Graph`` whose ``weights`` hold, for each edge, the count of
-    distinct items its two users both requested. ``build_dsg`` and
-    ``at_threshold`` make every weight >= ``threshold`` and every node's
-    degree >= 1; the constructor takes the CSR arrays as given.
+    A CSR ``Graph`` plus ``weights``, a read-only array with one value per
+    entry of ``indices``: the count of distinct items the entry's two users
+    both requested. ``build_dsg`` and ``at_threshold`` make every weight >=
+    ``threshold`` and every node's degree >= 1; the constructor takes the
+    CSR arrays as given.
     """
 
-    __slots__ = ("threshold", "window")
+    __slots__ = ("weights", "threshold", "window")
 
     def __init__(self, nodes: tuple, indptr: np.ndarray, indices: np.ndarray,
                  weights: np.ndarray, threshold: int, window: TimeWindow | None = None):
-        super().__init__(nodes, indptr, indices, weights)
+        super().__init__(nodes, indptr, indices)
+        self.weights = _readonly(weights)
         self.threshold = threshold
         self.window = window
-
-    def _derived(self, nodes, indptr, indices, weights) -> "DataSharingGraph":
-        return DataSharingGraph(nodes, indptr, indices, weights, self.threshold, self.window)
 
     def __eq__(self, other):
         equal = super().__eq__(other)
         if equal is NotImplemented or not equal:
             return equal
-        return self.threshold == other.threshold and self.window == other.window
+        return (np.array_equal(self.weights, other.weights)
+                and self.threshold == other.threshold and self.window == other.window)
 
     __hash__ = None
 
@@ -60,7 +60,9 @@ class DataSharingGraph(Graph):
             return self
         heavy = self.weights >= threshold
         linked = np.bincount(self.entry_rows()[heavy], minlength=self.node_count) > 0
-        return DataSharingGraph(*self._restrict(linked, heavy), threshold, self.window)
+        # Both ends of a heavy entry are linked, so heavy is the kept-entry mask.
+        return DataSharingGraph(*self._restrict(linked, heavy), self.weights[heavy],
+                                threshold, self.window)
 
 
 @dataclass(frozen=True)

@@ -44,32 +44,24 @@ class Graph:
     ``nodes`` is the tuple of ids in sorted order. ``indptr`` (length V + 1)
     and ``indices`` (length 2E) are int64 arrays, made read-only here: the
     neighbours of node index i are ``indices[indptr[i]:indptr[i + 1]]``,
-    ascending; ``symmetric_csr`` builds them from unweighted index pairs.
-    ``weights`` is None or holds one value per entry of ``indices``. The
-    arrays never change after construction, so instances are safe to share
-    across threads for concurrent read-only traversal.
+    ascending; ``symmetric_csr`` builds them from index pairs. The arrays
+    never change after construction, so instances are safe to share across
+    threads for concurrent read-only traversal.
     """
 
-    __slots__ = ("nodes", "indptr", "indices", "weights")
+    __slots__ = ("nodes", "indptr", "indices")
 
-    def __init__(self, nodes: tuple, indptr: np.ndarray, indices: np.ndarray,
-                 weights: np.ndarray | None = None):
+    def __init__(self, nodes: tuple, indptr: np.ndarray, indices: np.ndarray):
         self.nodes = nodes
         self.indptr = _readonly(indptr)
         self.indices = _readonly(indices)
-        self.weights = None if weights is None else _readonly(weights)
-
-    def _derived(self, nodes, indptr, indices, weights) -> "Graph":
-        """A graph of this one's type over new CSR arrays."""
-        return Graph(nodes, indptr, indices, weights)
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return (self.nodes == other.nodes
                 and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices)
-                and np.array_equal(self.weights, other.weights))
+                and np.array_equal(self.indices, other.indices))
 
     __hash__ = None
 
@@ -145,18 +137,20 @@ class Graph:
         """Component count and the induced subgraph of the largest component.
 
         An empty graph yields (0, itself); a connected one, (1, itself).
+        Otherwise the component is a plain ``Graph``: a data-sharing graph's
+        weights do not come with it, since no metric reads them.
         """
         if self.node_count == 0:
             return 0, self
         label, roots = self._components()
         if len(roots) == 1:
             return 1, self
-        return len(roots), self._derived(*self._restrict(label == roots[0]))
+        return len(roots), Graph(*self._restrict(label == roots[0]))
 
     def _restrict(self, node_keep: np.ndarray, entry_keep: np.ndarray | None = None) -> tuple:
         """Subgraph on the kept nodes and entries, relabelled in index order.
 
-        Returns its (nodes, indptr, indices, weights), the constructor's arguments.
+        Returns its (nodes, indptr, indices), the constructor's arguments.
         """
         rows = self.entry_rows()
         keep = node_keep[rows] & node_keep[self.indices]
@@ -170,7 +164,6 @@ class Graph:
             tuple(nodes[i] for i in np.flatnonzero(node_keep).tolist()),
             indptr,
             new_index[self.indices[keep]],
-            None if self.weights is None else self.weights[keep],
         )
 
 

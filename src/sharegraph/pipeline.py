@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -90,39 +90,25 @@ def render_csv(columns: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run's output bytes.
+def manifest_json(command: str, parameters: dict, master_seed: int,
+                  input_sha256: str | None) -> str:
+    """The manifest.json text: everything needed to reproduce a run's output bytes.
 
     ``created_utc`` is informational; all data outputs depend only on the
     input digest, seed, and parameters.
     """
-
-    command: str
-    parameters: dict
-    master_seed: int
-    input_sha256: str | None = None
-    tool_version: str = __version__
-    prng: str = PRNG_NAME
-    numpy_version: str = np.__version__
-    schemas: dict = field(default_factory=lambda: dict(SCHEMA_VERSIONS))
-    created_utc: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "master_seed": self.master_seed,
-            "input_sha256": self.input_sha256,
-            "tool_version": self.tool_version,
-            "prng": self.prng,
-            "numpy_version": self.numpy_version,
-            "schemas": self.schemas,
-            "created_utc": self.created_utc,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    payload = {
+        "command": command,
+        "parameters": parameters,
+        "master_seed": master_seed,
+        "input_sha256": input_sha256,
+        "tool_version": __version__,
+        "prng": PRNG_NAME,
+        "numpy_version": np.__version__,
+        "schemas": SCHEMA_VERSIONS,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -219,7 +205,9 @@ def run_sweep(trace: Trace, spec: SweepSpec, workers: int = 1) -> list[SweepCell
                 index += 1
             windows.append(cells)
 
-    if workers == 1:
+    # Under fork, a pool starts all its workers at the first submit: no more than one per window.
+    workers = min(workers, len(windows))
+    if workers <= 1:
         per_window = list(map(_run_window, windows))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

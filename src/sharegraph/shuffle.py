@@ -71,7 +71,7 @@ def shuffle_trace(trace: Trace, mode: ShuffleMode) -> Trace:
     else:  # ST3
         items = _permuted(items, root)
 
-    return Trace._from_columns(trace.user_ids, users, trace.item_ids, items, trace.timestamps)
+    return Trace(trace.user_ids, users, trace.item_ids, items, trace.timestamps)
 
 
 def replicate_seed(master_seed: int, replicate: int) -> int:

@@ -28,7 +28,7 @@ import io
 import zlib
 from array import array
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -121,22 +121,16 @@ class Trace:
     numpy arrays. ``time_sorted`` is derived, never supplied: it is True
     exactly when timestamps are non-decreasing in row order.
 
-    ``Trace(records)`` builds the columns from ``TraceRecord`` objects, and
-    ``records`` turns them back into such objects; the library itself works
-    on the columns only.
+    ``records`` turns the rows into ``TraceRecord`` objects; the library
+    itself works on the columns only. The constructor takes the columns as
+    given: outside input enters through ``parse_trace``.
     """
 
     __slots__ = ("user_ids", "item_ids", "user_codes", "item_codes", "timestamps",
                  "time_sorted")
 
-    def __init__(self, records: Iterable[TraceRecord] = ()):
-        records = tuple(records)
-        user_ids, user_codes = _intern([r.user_id for r in records])
-        item_ids, item_codes = _intern([r.item_id for r in records])
-        timestamps = np.array([r.timestamp for r in records], dtype=np.int64)
-        self._set(user_ids, user_codes, item_ids, item_codes, timestamps)
-
-    def _set(self, user_ids, user_codes, item_ids, item_codes, timestamps) -> None:
+    def __init__(self, user_ids: tuple, user_codes: np.ndarray, item_ids: tuple,
+                 item_codes: np.ndarray, timestamps: np.ndarray):
         self.user_ids = user_ids
         self.item_ids = item_ids
         self.user_codes = user_codes
@@ -146,22 +140,16 @@ class Trace:
             column.flags.writeable = False
         self.time_sorted = bool(np.all(timestamps[1:] >= timestamps[:-1]))
 
-    @classmethod
-    def _from_columns(cls, user_ids, user_codes, item_ids, item_codes, timestamps) -> "Trace":
-        trace = object.__new__(cls)
-        trace._set(user_ids, user_codes, item_ids, item_codes, timestamps)
-        return trace
-
     def _take(self, rows) -> "Trace":
         """The rows selected by a slice, a mask or an index array, same tables."""
-        return Trace._from_columns(self.user_ids, self.user_codes[rows],
-                                   self.item_ids, self.item_codes[rows], self.timestamps[rows])
+        return Trace(self.user_ids, self.user_codes[rows],
+                     self.item_ids, self.item_codes[rows], self.timestamps[rows])
 
     def __reduce__(self):
         # A window shares its trace's tables; pickled, it keeps only the ids it uses.
         users, user_codes = np.unique(self.user_codes, return_inverse=True)
         items, item_codes = np.unique(self.item_codes, return_inverse=True)
-        return Trace._from_columns, (
+        return Trace, (
             tuple(self.user_ids[c] for c in users.tolist()), user_codes.astype(np.int32),
             tuple(self.item_ids[c] for c in items.tolist()), item_codes.astype(np.int32),
             self.timestamps,
@@ -181,9 +169,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __iter__(self):
-        return iter(self.records)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -463,8 +448,8 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
     user_ids, user_codes = _sorted_codes(list(users), user_codes)
     item_ids, item_codes = _sorted_codes(list(items), item_codes)
     # A view of the array's buffer, not a copy.
-    trace = Trace._from_columns(user_ids, user_codes, item_ids, item_codes,
-                                np.frombuffer(timestamps, dtype=np.int64))
+    trace = Trace(user_ids, user_codes, item_ids, item_codes,
+                  np.frombuffer(timestamps, dtype=np.int64))
     if sort:
         trace = trace.sorted_by_time()
     return ParseResult(trace=trace, rejected=tuple(rejected))
@@ -573,8 +558,10 @@ def generate_synthetic_trace(
     times = rng.integers(0, span_seconds, size=requests)
 
     order = np.argsort(times, kind="stable")
-    return Trace._from_columns(*_numbered("u", user_idx[order]), *_numbered("i", item_idx[order]),
-                               times[order].astype(np.int64))
+    return Trace(*_numbered("u", user_idx[order]), *_numbered("i", item_idx[order]),
+                 times[order].astype(np.int64))
+
+
 def generate_clustered_trace(
     groups: int = 16,
     users_per_group: int = 10,
@@ -620,6 +607,6 @@ def generate_clustered_trace(
 
     times = rng.integers(0, span_seconds, size=len(rows))
     order = np.argsort(times, kind="stable").tolist()
-    return Trace._from_columns(*_intern([rows[j][0] for j in order]),
-                               *_intern([rows[j][1] for j in order]),
-                               times[order].astype(np.int64))
+    return Trace(*_intern([rows[j][0] for j in order]),
+                 *_intern([rows[j][1] for j in order]),
+                 times[order].astype(np.int64))

@@ -229,15 +229,27 @@ def random_tree(n: int, seed: int = 0) -> Graph:
 # ---------------------------------------------------------------------------
 # trace builders
 
+def trace_of(rows) -> Trace:
+    """Trace of (user, item, timestamp) tuples or ``TraceRecord``s, in row order.
+
+    Each row is validated as a ``TraceRecord``; the sorted id tables and the
+    int32 code and int64 time columns are built here, not by the parse.
+    """
+    records = [r if isinstance(r, TraceRecord) else TraceRecord(*r) for r in rows]
+    user_ids = tuple(sorted({r.user_id for r in records}))
+    item_ids = tuple(sorted({r.item_id for r in records}))
+    user_code = {u: k for k, u in enumerate(user_ids)}
+    item_code = {i: k for k, i in enumerate(item_ids)}
+    return Trace(
+        user_ids, np.array([user_code[r.user_id] for r in records], dtype=np.int32),
+        item_ids, np.array([item_code[r.item_id] for r in records], dtype=np.int32),
+        np.array([r.timestamp for r in records], dtype=np.int64),
+    )
+
+
 def make_trace(rows) -> Trace:
     """Trace from (user, item[, timestamp]) tuples; timestamps default to row index."""
-    records = []
-    for idx, row in enumerate(rows):
-        if len(row) == 2:
-            records.append(TraceRecord(row[0], row[1], idx))
-        else:
-            records.append(TraceRecord(row[0], row[1], row[2]))
-    return Trace(tuple(records))
+    return trace_of(row if len(row) == 3 else (*row, idx) for idx, row in enumerate(rows))
 
 
 def random_trace(rng: np.random.Generator, users: int, items: int,
@@ -250,4 +262,4 @@ def random_trace(rng: np.random.Generator, users: int, items: int,
             rng.integers(0, span, size=records),
         )
     )
-    return Trace(tuple(TraceRecord(u, i, t) for t, u, i in rows))
+    return trace_of((u, i, t) for t, u, i in rows)

@@ -151,16 +151,17 @@ def test_criterion_5_shuffle_marginal_preservation():
             records=int(rng.integers(1, 150)),
         )
         for variant in ("ST1", "ST2", "ST3"):
-            shuffled = shuffle_trace(trace, ShuffleMode(variant, seed=i))
-            assert Counter(r.user_id for r in shuffled) == Counter(r.user_id for r in trace)
-            assert Counter(r.item_id for r in shuffled) == Counter(r.item_id for r in trace)
-            assert [r.timestamp for r in shuffled] == [r.timestamp for r in trace]
+            shuffled = shuffle_trace(trace, ShuffleMode(variant, seed=i)).records
+            before = trace.records
+            assert Counter(r.user_id for r in shuffled) == Counter(r.user_id for r in before)
+            assert Counter(r.item_id for r in shuffled) == Counter(r.item_id for r in before)
+            assert [r.timestamp for r in shuffled] == [r.timestamp for r in before]
             if variant == "ST2":
                 assert [(r.item_id, r.timestamp) for r in shuffled] == \
-                       [(r.item_id, r.timestamp) for r in trace]
+                       [(r.item_id, r.timestamp) for r in before]
             if variant == "ST3":
                 assert [(r.user_id, r.timestamp) for r in shuffled] == \
-                       [(r.user_id, r.timestamp) for r in trace]
+                       [(r.user_id, r.timestamp) for r in before]
     ok("criterion 5: ST1/ST2/ST3 preserve all column marginals and pairings exactly")
 
 

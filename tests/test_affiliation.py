@@ -5,7 +5,6 @@ import pytest
 
 from sharegraph import (
     EmptyTraceError,
-    Trace,
     build_bipartite,
     build_dsg,
     compare_window,
@@ -21,6 +20,7 @@ from helpers import (
     oracle_dsg_edges,
     poly_eval,
     random_trace,
+    trace_of,
     weighted_edges,
 )
 
@@ -54,7 +54,7 @@ def test_repeats_collapse():
 
 def test_empty_window_raises():
     with pytest.raises(EmptyTraceError):
-        build_bipartite(Trace(()))
+        build_bipartite(trace_of(()))
 
 
 def test_distributions_normalized_and_consistent():

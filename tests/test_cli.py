@@ -11,11 +11,12 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharegraph import TimeWindow, Trace, generate_synthetic_trace, render_trace
+from sharegraph import TimeWindow, __version__, generate_synthetic_trace, pipeline, render_trace
 from sharegraph.cli import EXIT_IO, EXIT_PARSE, EXIT_PRECONDITION, main
 from sharegraph.pipeline import (
     METRICS_COLUMNS,
@@ -24,6 +25,7 @@ from sharegraph.pipeline import (
     metrics_rows,
     render_csv,
 )
+from helpers import trace_of
 
 SIX_RECORD_CSV = "u1,f1,0\nu1,f2,1\nu2,f2,2\nu2,f3,3\nu3,f1,4\nu3,f2,5\n"
 
@@ -50,6 +52,14 @@ def test_summary_golden_row(fixture_trace, tmp_path):
     manifest = json.loads(read(out / "manifest.json"))
     assert manifest["command"] == "summary"
     assert len(manifest["input_sha256"]) == 64
+    created = manifest.pop("created_utc")
+    assert created.endswith("+00:00")
+    assert manifest == {
+        "command": "summary", "parameters": {}, "master_seed": 0,
+        "input_sha256": manifest["input_sha256"], "tool_version": __version__,
+        "prng": "PCG64", "numpy_version": np.__version__,
+        "schemas": pipeline.SCHEMA_VERSIONS,
+    }
 
 
 def test_summary_gz_equivalent(fixture_trace, tmp_path):
@@ -224,6 +234,35 @@ def test_sweep_worker_count_does_not_change_output(tmp_path):
     assert read(out_1 / "metrics.csv") == read(out_2 / "metrics.csv")
 
 
+@pytest.mark.parametrize("length, pools", [("3", [2]), ("10", [])])
+def test_sweep_starts_at_most_one_worker_per_window(fixture_trace, tmp_path, monkeypatch,
+                                                    length, pools):
+    # A pool forks all its workers at once; this one records how many and maps in-process.
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    base = ["sweep", str(fixture_trace), "--lengths", length, "--thresholds", "1,2",
+            "--origin", "0"]
+    assert main(base + ["--workers", "8", "-o", str(tmp_path / "many")]) == 0
+    assert started == pools  # two windows of 3 s, or one of 10 s run in-process
+    assert main(base + ["--workers", "1", "-o", str(tmp_path / "one")]) == 0
+    for name in ("metrics.csv", "scatter.csv"):
+        assert read(tmp_path / "many" / name) == read(tmp_path / "one" / name)
+
+
 def test_sweep_empty_graphs_flagged_but_successful(fixture_trace, tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", str(fixture_trace), "--lengths", "10",
@@ -258,7 +297,7 @@ def test_sweep_sampled_metrics_csv_has_one_field_per_column(tmp_path):
 
 def test_metrics_csv_error_row_has_one_field_per_column():
     cell = SweepCell(index=0, interval_seconds=10, window_index=3, window=TimeWindow(30, 40),
-                     threshold=1, window_trace=Trace(), sample_fraction=None, path_seed=0)
+                     threshold=1, window_trace=trace_of(()), sample_fraction=None, path_seed=0)
     result = SweepCellResult(cell=cell, report=None, error="ValueError: boom")
     text = render_csv(METRICS_COLUMNS, metrics_rows("web", [result]))
     (row,) = csv.DictReader(io.StringIO(text))

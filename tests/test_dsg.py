@@ -8,7 +8,6 @@ import pytest
 from sharegraph import (
     Graph,
     TimeWindow,
-    Trace,
     build_dsg,
     generate_synthetic_trace,
     slice_window,
@@ -21,6 +20,7 @@ from helpers import (
     oracle_components,
     oracle_dsg_edges,
     random_trace,
+    trace_of,
     weighted_edges,
 )
 
@@ -53,7 +53,7 @@ def test_disjoint_items_give_empty_graph():
 
 
 def test_empty_trace_gives_empty_graph():
-    g = build_dsg(Trace(()), 1)
+    g = build_dsg(trace_of(()), 1)
     assert g.node_count == 0
 
 
@@ -73,7 +73,7 @@ def test_record_order_does_not_matter():
     rng = random.Random(5)
     for _ in range(10):
         rng.shuffle(records)
-        assert build_dsg(Trace(tuple(records)), 1) == build_dsg(SHARED_TRACE, 1)
+        assert build_dsg(trace_of(records), 1) == build_dsg(SHARED_TRACE, 1)
 
 
 # --- oracle equivalence and monotonicity ---
@@ -212,6 +212,23 @@ def test_components_two_triangles_tie_break():
     assert count == 2
     assert largest.nodes == ("a", "b", "c")
     assert largest.edge_count == 3
+
+
+def test_largest_component_of_a_dsg_is_a_plain_graph():
+    edges = {("a", "b"): 2, ("a", "c"): 3, ("b", "c"): 1, ("d", "e"): 4}
+    count, largest = dsg(edges).largest_component()
+    assert count == 2
+    assert type(largest) is Graph
+    assert not hasattr(largest, "weights")
+    assert largest == Graph(("a", "b", "c"), np.array([0, 2, 4, 6]),
+                            np.array([1, 2, 0, 2, 0, 1]))
+
+
+def test_dsg_equality_compares_weights():
+    g = dsg({("a", "b"): 2, ("b", "c"): 1})
+    assert g == dsg({("a", "b"): 2, ("b", "c"): 1})
+    assert g != dsg({("a", "b"): 2, ("b", "c"): 3})
+    assert g != dsg({("a", "b"): 2, ("b", "c"): 1}, threshold=2)
 
 
 def test_components_whole_graph_connected():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sharegraph import (
     EmptyTraceError,
     ShuffleMode,
-    Trace,
     TraceRecord,
     build_dsg,
     generate_clustered_trace,
@@ -20,14 +19,14 @@ from sharegraph import (
     weight_distribution,
 )
 from sharegraph.shuffle import replicate_seed
-from helpers import make_trace, random_trace
+from helpers import make_trace, random_trace, trace_of
 
 
 def columns(trace):
     return (
-        [r.user_id for r in trace],
-        [r.item_id for r in trace],
-        [r.timestamp for r in trace],
+        [r.user_id for r in trace.records],
+        [r.item_id for r in trace.records],
+        [r.timestamp for r in trace.records],
     )
 
 
@@ -40,7 +39,7 @@ def test_mode_validates_variant():
 
 def test_empty_trace_rejected():
     with pytest.raises(EmptyTraceError):
-        shuffle_trace(Trace(()), ShuffleMode("ST1"))
+        shuffle_trace(trace_of(()), ShuffleMode("ST1"))
 
 
 def test_single_user_st2_is_identity():
@@ -86,7 +85,7 @@ _records = st.builds(TraceRecord, user_id=_ids, item_id=_ids,
        st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=80, deadline=None)
 def test_marginals_preserved_property(records, variant, seed):
-    trace = Trace(tuple(records))
+    trace = trace_of(records)
     shuffled = shuffle_trace(trace, ShuffleMode(variant, seed=seed))
     users0, items0, times0 = columns(trace)
     users1, items1, times1 = columns(shuffled)
@@ -100,16 +99,16 @@ def test_st2_keeps_item_time_pairs_positionally():
     rng = np.random.default_rng(71)
     trace = random_trace(rng, users=8, items=10, records=60)
     shuffled = shuffle_trace(trace, ShuffleMode("ST2", seed=5))
-    assert [(r.item_id, r.timestamp) for r in shuffled] == \
-           [(r.item_id, r.timestamp) for r in trace]
+    assert [(r.item_id, r.timestamp) for r in shuffled.records] == \
+           [(r.item_id, r.timestamp) for r in trace.records]
 
 
 def test_st3_keeps_user_time_pairs_positionally():
     rng = np.random.default_rng(73)
     trace = random_trace(rng, users=8, items=10, records=60)
     shuffled = shuffle_trace(trace, ShuffleMode("ST3", seed=5))
-    assert [(r.user_id, r.timestamp) for r in shuffled] == \
-           [(r.user_id, r.timestamp) for r in trace]
+    assert [(r.user_id, r.timestamp) for r in shuffled.records] == \
+           [(r.user_id, r.timestamp) for r in trace.records]
 
 
 def test_shuffle_preserves_time_sortedness():
@@ -160,8 +159,7 @@ def make_heavy_sharing_trace(seed=0):
                 rows.append((f"g{g}u{k}", f"g{g}i{j:03d}"))
     times = rng.integers(0, 10000, size=len(rows))
     order = np.argsort(times, kind="stable")
-    return Trace(tuple(TraceRecord(rows[i][0], rows[i][1], int(times[i]))
-                       for i in order))
+    return trace_of((rows[i][0], rows[i][1], int(times[i])) for i in order)
 
 
 @pytest.mark.parametrize("variant", ["ST1", "ST2", "ST3"])

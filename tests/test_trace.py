@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from sharegraph import (
     EmptyTraceError,
     TimeWindow,
-    Trace,
     TraceParseError,
     TraceRecord,
     generate_synthetic_trace,
@@ -27,7 +26,7 @@ from sharegraph import (
     window_slices,
 )
 import sharegraph.trace as trace_module
-from helpers import make_trace
+from helpers import make_trace, trace_of
 
 SIX_RECORD_CSV = "u1,f1,0\nu1,f2,1\nu2,f2,2\nu2,f3,3\nu3,f1,4\nu3,f2,5\n"
 
@@ -100,7 +99,7 @@ def test_parse_empty_input_gives_empty_trace():
 
 def test_parse_invalid_utf8_line_rejected_alone():
     result = parse_trace(b"u1,f1,0\nu1,i\xff9,5\nu2,f1,7\n")
-    assert [r.user_id for r in result.trace] == ["u1", "u2"]
+    assert [r.user_id for r in result.trace.records] == ["u1", "u2"]
     assert [d.line_number for d in result.rejected] == [2]
     assert "invalid UTF-8" in result.rejected[0].reason
 
@@ -115,13 +114,13 @@ def test_parse_gzip_by_magic_bytes():
 def test_parse_sort_flag_sorts_by_timestamp():
     result = parse_trace("u1,f1,9\nu2,f2,3\nu3,f3,7", sort=True)
     assert result.trace.time_sorted
-    assert [r.timestamp for r in result.trace] == [3, 7, 9]
+    assert [r.timestamp for r in result.trace.records] == [3, 7, 9]
 
 
 def test_parse_preserves_order_without_sort():
     result = parse_trace("u1,f1,9\nu2,f2,3")
     assert not result.trace.time_sorted
-    assert [r.timestamp for r in result.trace] == [9, 3]
+    assert [r.timestamp for r in result.trace.records] == [9, 3]
 
 
 def test_parse_sort_is_stable_for_equal_timestamps():
@@ -134,7 +133,7 @@ def test_parse_sort_is_stable_for_equal_timestamps():
 
 def test_parse_rejects_timestamp_beyond_int64():
     result = parse_trace(f"u1,f1,{2**63}\nu2,f1,{2**63 - 2}\n")
-    assert [r.timestamp for r in result.trace] == [2**63 - 2]
+    assert [r.timestamp for r in result.trace.records] == [2**63 - 2]
     assert [d.line_number for d in result.rejected] == [1]
     assert "out of range" in result.rejected[0].reason
     with pytest.raises(ValueError):
@@ -156,13 +155,13 @@ def test_parse_line_breaks_only_at_newline():
     # An invalid line elsewhere in the input must not move any line break.
     for data, rejected in ((text, []), (text.encode(), []), (text.encode() + b"\xff\n", [7])):
         result = parse_trace(data)
-        assert [r.user_id for r in result.trace] == ids
+        assert [r.user_id for r in result.trace.records] == ids
         assert [d.line_number for d in result.rejected] == rejected
 
 
 def test_parse_lone_surrogate_is_a_line_rejection():
     result = parse_trace("u1,f1,0\nu\ud8002,f1,1\n")
-    assert [r.user_id for r in result.trace] == ["u1"]
+    assert [r.user_id for r in result.trace.records] == ["u1"]
     assert [d.line_number for d in result.rejected] == [2]
     assert "invalid UTF-8" in result.rejected[0].reason
 
@@ -174,7 +173,7 @@ def test_parse_lines_straddling_read_blocks(monkeypatch, block):
     monkeypatch.setattr(trace_module, "READ_BLOCK", block)  # block 8 splits \r from \n
     assert parse_trace(data) == expected
     assert parse_trace(gzip.compress(data)) == expected
-    assert [r.user_id for r in expected.trace] == ["u1", "u2", "longer_user", "u4"]
+    assert [r.user_id for r in expected.trace.records] == ["u1", "u2", "longer_user", "u4"]
     assert [d.line_number for d in expected.rejected] == [4, 5]
 
 
@@ -190,7 +189,7 @@ def test_parse_a_stream_that_cannot_seek(compress):
     data = SIX_RECORD_CSV.encode()
     stream = _ReadOnly(gzip.compress(data) if compress else data)
     assert parse_trace(stream) == parse_trace(data)
-    assert parse_trace(_ReadOnly(b"\n")).trace == Trace()  # shorter than the magic
+    assert parse_trace(_ReadOnly(b"\n")).trace == trace_of(())  # shorter than the magic
 
 
 # --- the vectorized route for regular blocks ---
@@ -201,7 +200,7 @@ def test_regular_block_converts_fields():
     assert timestamps.tolist() == [7, 10**18 - 1]
     assert len(np.unique(user_keys)) == 2 and len(np.unique(item_keys)) == 1
     result = parse_trace(chunk)
-    assert [r.user_id for r in result.trace] == ["u1", "userid\u00e9"]
+    assert [r.user_id for r in result.trace.records] == ["u1", "userid\u00e9"]
     assert trace_module._regular_block(b"user_id8,item_id8,1\n") is not None
 
 
@@ -354,7 +353,7 @@ _records = st.builds(
 @given(st.lists(_records, max_size=60))
 @settings(max_examples=100, deadline=None)
 def test_render_parse_round_trip(records):
-    trace = Trace(tuple(records))
+    trace = trace_of(records)
     parsed = parse_trace(render_trace(trace))
     assert parsed.trace == trace
     assert parsed.rejected == ()
@@ -383,7 +382,7 @@ def test_summarize_multiset_collapse():
 
 def test_summarize_empty_raises():
     with pytest.raises(EmptyTraceError):
-        summarize(Trace(()))
+        summarize(trace_of(()))
 
 
 @given(st.lists(_records, min_size=1, max_size=40), st.randoms())
@@ -391,7 +390,7 @@ def test_summarize_empty_raises():
 def test_summarize_permutation_invariant(records, rand):
     shuffled = list(records)
     rand.shuffle(shuffled)
-    assert summarize(Trace(tuple(records))) == summarize(Trace(tuple(shuffled)))
+    assert summarize(trace_of(records)) == summarize(trace_of(shuffled))
 
 
 # --- windowing ---
@@ -404,8 +403,8 @@ def test_window_boundaries():
     (w0, t0), (w1, t1) = slices
     assert (w0.start, w0.end) == (0, 1800)
     assert (w1.start, w1.end) == (1800, 3600)
-    assert [r.timestamp for r in t0] == [0, 1700]
-    assert [r.timestamp for r in t1] == [1800, 3599]
+    assert [r.timestamp for r in t0.records] == [0, 1700]
+    assert [r.timestamp for r in t1.records] == [1800, 3599]
 
 
 def test_single_window_when_everything_fits():
@@ -435,10 +434,10 @@ def test_windows_partition_the_records():
         slices = window_slices(trace, length, origin=origin)
         merged = Counter()
         for window, wt in slices:
-            for r in wt:
+            for r in wt.records:
                 assert window.contains(r.timestamp)
                 merged[(r.user_id, r.item_id, r.timestamp)] += 1
-        assert merged == Counter((r.user_id, r.item_id, r.timestamp) for r in trace)
+        assert merged == Counter((r.user_id, r.item_id, r.timestamp) for r in trace.records)
 
 
 def test_window_slices_requires_sorted_trace():
@@ -456,13 +455,13 @@ def test_window_slices_rejects_bad_length():
 def test_slice_window_filters_half_open():
     trace = make_trace([("u1", "f1", 0), ("u2", "f2", 10), ("u3", "f3", 20)])
     sliced = slice_window(trace, TimeWindow(0, 20))
-    assert [r.timestamp for r in sliced] == [0, 10]
+    assert [r.timestamp for r in sliced.records] == [0, 10]
 
 
 def test_slice_window_on_unsorted_trace_keeps_row_order():
     trace = make_trace([("u1", "f1", 30), ("u2", "f2", 5), ("u3", "f3", 12), ("u4", "f4", 50)])
     sliced = slice_window(trace, TimeWindow(5, 31))
-    assert [r.user_id for r in sliced] == ["u1", "u2", "u3"]
+    assert [r.user_id for r in sliced.records] == ["u1", "u2", "u3"]
 
 
 def test_window_bounds_beyond_int64():
@@ -477,18 +476,18 @@ def test_window_shares_tables_and_pickles_only_its_ids():
     trace = generate_synthetic_trace(30, 60, 400, seed=5, span_seconds=1000)
     _, window = window_slices(trace, 100, origin=0)[3]
     assert window.user_ids is trace.user_ids
-    assert window == Trace(window.records)
+    assert window == trace_of(window.records)
     copy = pickle.loads(pickle.dumps(window))
     assert copy == window
-    assert copy.user_ids == tuple(sorted({r.user_id for r in window}))
-    assert copy.item_ids == tuple(sorted({r.item_id for r in window}))
+    assert copy.user_ids == tuple(sorted({r.user_id for r in window.records}))
+    assert copy.item_ids == tuple(sorted({r.item_id for r in window.records}))
 
 # --- synthetic generation ---
 
 def test_synthetic_degenerate_space():
     trace = generate_synthetic_trace(1, 1, 3, seed=7)
     assert len(trace) == 3
-    assert {(r.user_id, r.item_id) for r in trace} == {("u0", "i0")}
+    assert {(r.user_id, r.item_id) for r in trace.records} == {("u0", "i0")}
 
 
 def test_synthetic_deterministic():
@@ -507,7 +506,7 @@ def test_synthetic_output_is_time_sorted():
 def test_synthetic_zipf_rank_frequency_slope_negative():
     trace = generate_synthetic_trace(100, 1000, 10000, "zipf",
                                      zipf_exponent=1.0, seed=1)
-    counts = Counter(r.item_id for r in trace)
+    counts = Counter(r.item_id for r in trace.records)
     freq = sorted(counts.values(), reverse=True)
     ranks = np.arange(1, len(freq) + 1)
     slope = np.polyfit(np.log(ranks), np.log(freq), 1)[0]
