@@ -73,10 +73,6 @@ class WeightDistribution:
     mean: float
     median: float
 
-    @property
-    def edge_count(self) -> int:
-        return sum(self.counts.values())
-
 
 def _row_counts(item: np.ndarray, user: np.ndarray, n_users: int, threshold: int):
     """Keys a * n_users + b of the user pairs sharing >= ``threshold`` items, and those counts.

@@ -123,29 +123,22 @@ class Graph:
             label = new
         return label
 
-    def _components(self) -> tuple[np.ndarray, np.ndarray]:
-        """(labels, component labels largest first).
-
-        Ties on size break toward the component whose smallest member sorts
-        first, so the ordering is deterministic.
-        """
-        label = self._component_labels()
-        roots, sizes = np.unique(label, return_counts=True)
-        return label, roots[np.argsort(-sizes, kind="stable")]
-
     def largest_component(self) -> tuple[int, "Graph"]:
         """Component count and the induced subgraph of the largest component.
 
         An empty graph yields (0, itself); a connected one, (1, itself).
         Otherwise the component is a plain ``Graph``: a data-sharing graph's
-        weights do not come with it, since no metric reads them.
+        weights do not come with it, since no metric reads them. Ties on size
+        go to the component whose smallest member sorts first: ``argmax``
+        takes the first largest over the roots in ascending order.
         """
         if self.node_count == 0:
             return 0, self
-        label, roots = self._components()
+        label = self._component_labels()
+        roots, sizes = np.unique(label, return_counts=True)
         if len(roots) == 1:
             return 1, self
-        return len(roots), Graph(*self._restrict(label == roots[0]))
+        return len(roots), Graph(*self._restrict(label == roots[np.argmax(sizes)]))
 
     def _restrict(self, node_keep: np.ndarray, entry_keep: np.ndarray | None = None) -> tuple:
         """Subgraph on the kept nodes and entries, relabelled in index order.

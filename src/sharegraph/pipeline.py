@@ -128,17 +128,18 @@ class SweepSpec:
             raise ValueError("window lengths must be positive")
         if any(t < 1 for t in self.thresholds):
             raise ValueError("thresholds must be >= 1")
+        if self.sample_fraction is not None and not 0 < self.sample_fraction <= 1:
+            raise ValueError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
 
 
 @dataclass(frozen=True)
 class SweepCell:
-    index: int
+    """One cell of the grid: one window of one length, at one threshold."""
+
     interval_seconds: int
     window_index: int
     window: TimeWindow
     threshold: int
-    window_trace: Trace
-    sample_fraction: float | None
     path_seed: int
 
 
@@ -149,22 +150,23 @@ class SweepCellResult:
     error: str | None = None
 
 
-def _run_window(cells: list[SweepCell]) -> list[SweepCellResult]:
-    """Measure the cells of one window.
+def _run_window(job: tuple[Trace, list[SweepCell], float | None]) -> list[SweepCellResult]:
+    """Measure the cells of one window: (window trace, its cells, sample fraction).
 
     Pair weights are counted once, at the window's lowest threshold, and
     filtered for the others.
     """
+    window_trace, cells, sample_fraction = job
     lowest = min(cell.threshold for cell in cells)
     base = None
     results = []
     for cell in cells:
         try:
             if base is None:
-                base = build_dsg(cell.window_trace, lowest, window=cell.window)
+                base = build_dsg(window_trace, lowest, window=cell.window)
             report = small_world_report(
                 base.at_threshold(cell.threshold),
-                sample_fraction=cell.sample_fraction, seed=cell.path_seed,
+                sample_fraction=sample_fraction, seed=cell.path_seed,
             )
             results.append(SweepCellResult(cell=cell, report=report))
         except Exception as exc:  # flagged row; the sweep must keep going
@@ -176,14 +178,15 @@ def _run_window(cells: list[SweepCell]) -> list[SweepCellResult]:
 def run_sweep(trace: Trace, spec: SweepSpec, workers: int = 1) -> list[SweepCellResult]:
     """Measure every (window instance, threshold) cell of the grid.
 
-    Cells are indexed before execution and results are returned in index
-    order, so the output is identical for any worker count. A failing cell
-    becomes an error-flagged result instead of aborting the sweep. The unit
-    of work is one window with all its thresholds.
+    Cells are numbered before execution, each seeding its path sample from
+    its number, and results are returned in that order, so the output is
+    identical for any worker count. A failing cell becomes an error-flagged
+    result instead of aborting the sweep. The unit of work is one window
+    with all its thresholds.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    windows: list[list[SweepCell]] = []
+    jobs: list[tuple[Trace, list[SweepCell], float | None]] = []
     index = 0
     for length in spec.window_lengths:
         origin = spec.origin
@@ -193,25 +196,19 @@ def run_sweep(trace: Trace, spec: SweepSpec, workers: int = 1) -> list[SweepCell
             cells = []
             for threshold in spec.thresholds:
                 cells.append(SweepCell(
-                    index=index,
-                    interval_seconds=length,
-                    window_index=w_idx,
-                    window=window,
-                    threshold=threshold,
-                    window_trace=window_trace,
-                    sample_fraction=spec.sample_fraction,
-                    path_seed=replicate_seed(spec.master_seed, index),
+                    interval_seconds=length, window_index=w_idx, window=window,
+                    threshold=threshold, path_seed=replicate_seed(spec.master_seed, index),
                 ))
                 index += 1
-            windows.append(cells)
+            jobs.append((window_trace, cells, spec.sample_fraction))
 
     # Under fork, a pool starts all its workers at the first submit: no more than one per window.
-    workers = min(workers, len(windows))
+    workers = min(workers, len(jobs))
     if workers <= 1:
-        per_window = list(map(_run_window, windows))
+        per_window = list(map(_run_window, jobs))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_window = list(pool.map(_run_window, windows, chunksize=1))
+            per_window = list(pool.map(_run_window, jobs, chunksize=1))
     return [result for results in per_window for result in results]
 
 
@@ -220,24 +217,28 @@ def summary_rows(trace: Trace) -> list[list]:
     return [[s.user_count, s.request_count_all, s.request_count_distinct, s.duration]]
 
 
+# The MetricsReport fields that metrics.csv and nullmodel.csv both list, in column order.
+_REPORT_FIELDS = (
+    "node_count", "edge_count", "component_count",
+    "largest_component_nodes", "largest_component_edges",
+    "cc1", "cc2", "avg_path_length", "cc_random", "l_random", "ratio_cc", "ratio_l",
+)
+
+
+def _report_cells(r: MetricsReport) -> list:
+    return [getattr(r, name) for name in _REPORT_FIELDS]
+
+
 def metrics_rows(system: str, results: list[SweepCellResult]) -> list[list]:
     rows = []
     for res in results:
-        cell = res.cell
+        cell, r = res.cell, res.report
         prefix = [system, cell.interval_seconds, cell.threshold]
         suffix = [cell.window_index, cell.window.start, cell.window.end]
-        if res.report is None:
-            blank = [None] * (len(METRICS_COLUMNS) - len(prefix) - len(suffix) - 2)
-            rows.append(prefix + blank + suffix + ["", f"error:{res.error}"])
-            continue
-        r = res.report
-        flags = ";".join(r.flags)
-        rows.append(prefix + [
-            r.node_count, r.edge_count, r.component_count,
-            r.largest_component_nodes, r.largest_component_edges,
-            r.cc1, r.cc2, r.avg_path_length, r.cc_random, r.l_random,
-            r.ratio_cc, r.ratio_l,
-        ] + suffix + [r.path_length_method, flags])
+        if r is None:
+            rows.append(prefix + [None] * len(_REPORT_FIELDS) + suffix + ["", f"error:{res.error}"])
+        else:
+            rows.append(prefix + _report_cells(r) + suffix + [r.path_length_method, ";".join(r.flags)])
     return rows
 
 
@@ -304,15 +305,9 @@ def affiliation_rows(window_trace: Trace, window: TimeWindow | None,
 def nullmodel_rows(comparison: NullModelComparison) -> list[list]:
     rows = []
     for row in comparison.rows:
-        r = row.report
-        rows.append([
-            row.source, row.replicate, row.seed,
-            r.node_count, r.edge_count, r.component_count,
-            r.largest_component_nodes, r.largest_component_edges,
-            row.weight_median, row.weight_mean,
-            r.cc1, r.cc2, r.avg_path_length, r.cc_random, r.l_random,
-            r.ratio_cc, r.ratio_l, ";".join(r.flags),
-        ])
+        cells = _report_cells(row.report)
+        rows.append([row.source, row.replicate, row.seed, *cells[:5],
+                     row.weight_median, row.weight_mean, *cells[5:], ";".join(row.report.flags)])
     return rows
 
 

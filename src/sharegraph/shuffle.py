@@ -94,9 +94,8 @@ class NullModelRow:
 
 @dataclass(frozen=True)
 class NullModelComparison:
-    window: TimeWindow | None
-    threshold: int
-    replicates: int
+    """The real trace's row, then each mode's replicate rows in order."""
+
     rows: tuple[NullModelRow, ...]
 
     def summary(self) -> dict[str, dict[str, float]]:
@@ -162,6 +161,4 @@ def null_model_comparison(
             shuffled = shuffle_trace(trace, ShuffleMode(mode.variant, seed))
             rows.append(_row(mode.variant, r, seed, windowed(shuffled), threshold,
                              window, sample_fraction, path_seed))
-    return NullModelComparison(
-        window=window, threshold=threshold, replicates=replicates, rows=tuple(rows),
-    )
+    return NullModelComparison(rows=tuple(rows))

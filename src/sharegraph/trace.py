@@ -86,9 +86,6 @@ class TimeWindow:
         if self.start >= self.end:
             raise ValueError(f"window start must precede end: [{self.start}, {self.end})")
 
-    def contains(self, timestamp: int) -> bool:
-        return self.start <= timestamp < self.end
-
 
 def _sorted_codes(names: list[str], codes) -> tuple[tuple[str, ...], np.ndarray]:
     """Re-code ``codes``, which index the distinct ``names``, into ``names`` sorted."""

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharegraph import TimeWindow, __version__, generate_synthetic_trace, pipeline, render_trace
+from sharegraph import (
+    TimeWindow, Trace, __version__, generate_synthetic_trace, pipeline, render_trace,
+)
 from sharegraph.cli import EXIT_IO, EXIT_PARSE, EXIT_PRECONDITION, main
 from sharegraph.pipeline import (
     METRICS_COLUMNS,
@@ -25,7 +27,6 @@ from sharegraph.pipeline import (
     metrics_rows,
     render_csv,
 )
-from helpers import trace_of
 
 SIX_RECORD_CSV = "u1,f1,0\nu1,f2,1\nu2,f2,2\nu2,f3,3\nu3,f1,4\nu3,f2,5\n"
 
@@ -296,14 +297,33 @@ def test_sweep_sampled_metrics_csv_has_one_field_per_column(tmp_path):
 
 
 def test_metrics_csv_error_row_has_one_field_per_column():
-    cell = SweepCell(index=0, interval_seconds=10, window_index=3, window=TimeWindow(30, 40),
-                     threshold=1, window_trace=trace_of(()), sample_fraction=None, path_seed=0)
+    cell = SweepCell(interval_seconds=10, window_index=3, window=TimeWindow(30, 40),
+                     threshold=1, path_seed=0)
     result = SweepCellResult(cell=cell, report=None, error="ValueError: boom")
     text = render_csv(METRICS_COLUMNS, metrics_rows("web", [result]))
     (row,) = csv.DictReader(io.StringIO(text))
     assert None not in row and len(row) == 20
     assert row["flags"].startswith("error:")
     assert (row["window_index"], row["window_start"], row["window_end"]) == ("3", "30", "40")
+
+
+def test_sweep_results_hold_no_trace():
+    # A worker sends its results back to the parent; the window's trace stays behind.
+    trace = generate_synthetic_trace(30, 100, 2000, seed=4, span_seconds=3600)
+    spec = pipeline.SweepSpec(window_lengths=(1200,), thresholds=(1, 2), origin=0)
+    results = pipeline.run_sweep(trace, spec)
+    assert len(results) == 3 * 2
+    for result in results:
+        assert not any(isinstance(value, Trace) for value in vars(result.cell).values())
+
+
+@pytest.mark.parametrize("fraction", ["0", "1.5", "nan"])
+def test_sweep_rejects_path_fraction_outside_unit_interval(fixture_trace, tmp_path, fraction):
+    out = tmp_path / "out"
+    assert main(["sweep", str(fixture_trace), "--lengths", "10", "--thresholds", "1",
+                 "--path-mode", "sampled", "--path-fraction", fraction,
+                 "-o", str(out)]) == EXIT_PRECONDITION
+    assert not (out / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -435,7 +435,7 @@ def test_windows_partition_the_records():
         merged = Counter()
         for window, wt in slices:
             for r in wt.records:
-                assert window.contains(r.timestamp)
+                assert window.start <= r.timestamp < window.end
                 merged[(r.user_id, r.item_id, r.timestamp)] += 1
         assert merged == Counter((r.user_id, r.item_id, r.timestamp) for r in trace.records)
 
