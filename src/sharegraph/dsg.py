@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BLOCK, Graph, _readonly
+from .graph import BLOCK, Graph, _readonly, symmetric_csr
 from .trace import TimeWindow, Trace
 
 
@@ -75,71 +75,82 @@ class WeightDistribution:
 
 
 def _row_counts(item: np.ndarray, user: np.ndarray, n_users: int, threshold: int):
-    """Keys a * n_users + b of the user pairs sharing >= ``threshold`` items, and those counts.
+    """(a, b, count) of the user pairs a < b sharing >= ``threshold`` items, sorted by (a, b).
 
     ``item`` and ``user`` list the distinct (item, user) incidences by item,
-    then user. Taken in user order, each incidence pairs its user a with
-    every other user b of its item, so row a of the user x user product
-    gathers all its pairs (a, b) (Gustavson's row-wise sparse product).
-    Rows are taken whole in runs of at most BLOCK pairs (one row, if it alone
-    has more), and each run's keys are counted and thresholded there. So every
-    run's counts are final, the runs follow one another in key order, and the
-    result, both directions of every edge, is already in CSR order. Apart
-    from the result and the per-incidence columns, no temporary array holds
-    more than one run's pairs.
+    then user. Row a of the upper triangle of the user x user product holds,
+    for every later user b who requested one of a's items, the number of
+    items both requested: Gustavson's row-wise sparse product, restricted to
+    one triangle as BLAS ``xSYRK`` computes one triangle of A * A^T. Taken in
+    user order, each incidence pairs its user with the incidences that follow
+    it in its item's run, the item's later users, so each unordered pair is
+    expanded once. Rows are taken whole in runs of at most BLOCK pairs (one
+    row, if it alone has more), and each run's keys (a << s) | b are sorted,
+    counted and thresholded there. So every run's counts are final and the
+    runs follow one another in key order. Keys are uint32 with s = 16 when
+    the users fit in 16 bits, else uint64 with s = 32; a and b come back in
+    the matching uint16 or uint32. Apart from the result and the
+    per-incidence columns, no temporary array holds more than one run's
+    pairs.
     """
-    start = np.searchsorted(item, item)
+    wide = n_users > 1 << 16
+    key_type, user_type, shift = (np.uint64, np.uint32, 32) if wide else (np.uint32, np.uint16, 16)
+    later = np.searchsorted(item, item, side="right") - np.arange(len(item)) - 1
     order = np.argsort(user, kind="stable")
-    others = np.searchsorted(item, item, side="right")[order] - start[order] - 1
+    later = later[order]
+    low = user.astype(key_type)
+    high = low[order] << key_type(shift)
     bound = np.searchsorted(user[order], np.arange(n_users + 1))  # where each row starts
-    done = np.concatenate(([0], np.cumsum(others)))[bound]  # pairs of the rows before each row
-    keys, counts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    done = np.concatenate(([0], np.cumsum(later)))[bound]  # pairs of the rows before each row
+    keys, counts = [np.zeros(0, key_type)], [np.zeros(0, np.int64)]
     row = 0
     while row < n_users:
         stop = max(row + 1, int(np.searchsorted(done, done[row] + BLOCK, side="right")) - 1)
         taken = slice(bound[row], bound[stop])
-        run = others[taken]
-        first = np.repeat(order[taken], run)
-        # incidence j's k-th partner sits at start[j] + k, or one further once past j
-        partner = start[first] + np.arange(len(first)) - np.repeat(np.cumsum(run) - run, run)
-        partner += partner >= first
-        pair = user[first] * n_users + user[partner]
-        del first, partner  # freed before np.unique copies the keys
+        run = later[taken]
+        before = np.cumsum(run) - run
+        # incidence j's k-th partner is incidence j + 1 + k
+        partner = np.arange(done[stop] - done[row]) + np.repeat(order[taken] + 1 - before, run)
+        pair = np.repeat(high[taken], run)
+        pair |= low[partner]
+        del partner  # freed before np.unique copies the keys
         k, c = np.unique(pair, return_counts=True)
         heavy = c >= threshold
         keys.append(k[heavy])
         counts.append(c[heavy])
         row = stop
-    return np.concatenate(keys), np.concatenate(counts)
+    key = np.concatenate(keys)
+    # a cast to the narrower type keeps the low bits, b
+    return (key >> key_type(shift)).astype(user_type), key.astype(user_type), np.concatenate(counts)
 
 
 def build_dsg(window_trace: Trace, threshold: int, window: TimeWindow | None = None) -> DataSharingGraph:
     """Build the data-sharing graph of a window trace.
 
-    Pair weights are counted row by row: user a's row holds, for every other
-    user b who requested one of a's items, the number of items both
-    requested. The rows are expanded with array operations over the window's
-    distinct (user, item) incidences, which never touches the quadratically
-    many user pairs that share nothing, and pairs below ``threshold`` are
-    dropped as each run of rows is counted (``_row_counts``). The counted
-    rows are the graph's CSR rows; only users left without entries go.
-    Memory beyond the graph is one run of ``graph.BLOCK`` pairs plus arrays
-    over the incidences. Repeat requests by the same user do not raise
-    weights. For several thresholds of one window, build at the lowest and
-    take ``at_threshold`` for the others.
+    Pair weights are counted row by row over the upper triangle: user a's
+    row holds, for every later user b who requested one of a's items, the
+    number of items both requested. The rows are expanded with array
+    operations over the window's distinct (user, item) incidences, which
+    never touches the quadratically many user pairs that share nothing, and
+    pairs below ``threshold`` are dropped as each run of rows is counted
+    (``_row_counts``). The counted pairs are the upper half of the graph's
+    CSR; ``symmetric_csr`` mirrors them into the lower half, and only users
+    left without entries go. Memory beyond the graph is one run of
+    ``graph.BLOCK`` pairs plus arrays over the incidences and the edges.
+    Repeat requests by the same user do not raise weights. For several
+    thresholds of one window, build at the lowest and take ``at_threshold``
+    for the others.
     """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     item, user_code = window_trace.incidences()
     codes, user = np.unique(user_code, return_inverse=True)
     n = len(codes)
-    key, weights = _row_counts(item, user, n, threshold)
-
-    degree = np.diff(np.searchsorted(key, np.arange(n + 1) * n))
-    linked = degree > 0
-    indptr = np.zeros(int(linked.sum()) + 1, dtype=np.int64)
-    np.cumsum(degree[linked], out=indptr[1:])
-    indices = (np.cumsum(linked) - 1)[key % max(n, 1)]
+    indptr, indices, weights = symmetric_csr(n, *_row_counts(item, user, n, threshold))
+    linked = indptr[1:] > indptr[:-1]
+    if not linked.all():
+        indptr = indptr[np.concatenate(([True], linked))]
+        indices = (np.cumsum(linked) - 1)[indices]
     users = window_trace.user_ids
     nodes = tuple(users[c] for c in codes[linked].tolist())
     return DataSharingGraph(nodes, indptr, indices, weights, threshold, window)

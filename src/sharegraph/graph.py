@@ -15,10 +15,10 @@ Node = Hashable
 
 # Entries per temporary array in the chunked passes over pairs, paths and
 # packed adjacency rows (metrics triangle counting, and dsg.build_dsg, which
-# counts whole rows of user pairs in runs of at most this many, or one row if
-# it alone has more, and thresholds each run as it goes): 0.5 MB per int64 or
-# uint64 array, so a dense window costs time in proportion to its work but no
-# more memory beyond its result.
+# counts whole rows of the upper half of the user x user product in runs of at
+# most this many pairs, or one row if it alone has more, and thresholds each
+# run as it goes): 0.5 MB per int64 or uint64 array, so a dense window costs
+# time in proportion to its work but no more memory beyond its result.
 BLOCK = 1 << 16
 
 
@@ -27,15 +27,40 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def symmetric_csr(n: int, a: np.ndarray, b: np.ndarray):
-    """(indptr, indices) of the undirected edges a[k]-b[k] on n nodes.
+def symmetric_csr(n: int, a: np.ndarray, b: np.ndarray, values: np.ndarray | None = None):
+    """(indptr, indices) of the undirected edges a[k]-b[k] on n nodes, and entry values.
 
-    Repeated edges collapse into one.
+    The pairs must be distinct, with a < b, and sorted by (a, b): they are
+    the upper half of the CSR, in order. Row r lists its lower entries, the
+    pairs (a, r), before its upper entries (r, b). The pairs sorted by b,
+    ties kept in order, are the lower entries in that order, so the lower
+    half is the upper half mirrored, not sorted again. That sort runs on one
+    uint64 word per pair, b above the pair's number, which numpy sorts
+    faster than a stable argsort of b alone; so n and the number of pairs
+    must be below 2^32. Given ``values``, one per pair, a third array gives
+    each entry its pair's value.
     """
-    key = np.unique(np.concatenate([a, b]) * n + np.concatenate([b, a]))
+    e = len(a)
+    mirror = b.astype(np.uint64) << np.uint64(32)
+    mirror |= np.arange(e, dtype=np.uint64)
+    mirror.sort()
+    lower = np.diff(np.searchsorted(mirror, np.arange(n, dtype=np.uint64) << np.uint64(32)), append=e)
+    upper = np.diff(np.searchsorted(a, np.arange(n, dtype=a.dtype)), append=e)
+    mirror &= np.uint64(0xFFFFFFFF)
+    mirror = mirror.view(np.int64)  # the pair numbers in lower-half order
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // max(n, 1), minlength=n), out=indptr[1:])
-    return indptr, key % max(n, 1)
+    np.cumsum(upper + lower, out=indptr[1:])
+    is_lower = np.repeat(np.tile([True, False], n), np.column_stack((lower, upper)).ravel())
+    is_upper = ~is_lower
+    indices = np.empty(len(is_lower), dtype=np.int64)
+    indices[is_lower] = a[mirror]
+    indices[is_upper] = b
+    if values is None:
+        return indptr, indices
+    entry_values = np.empty(len(is_lower), dtype=values.dtype)
+    entry_values[is_lower] = values[mirror]
+    entry_values[is_upper] = values
+    return indptr, indices, entry_values
 
 
 class Graph:
@@ -172,7 +197,7 @@ def gnm_random_graph(n: int, m: int, seed: int = 0) -> Graph:
     if not 0 <= m <= total:
         raise ValueError(f"m must be in [0, {total}], got {m}")
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(total, size=m, replace=False)
+    chosen = np.sort(rng.choice(total, size=m, replace=False))  # row-major is (row, col) order
     i = np.arange(n, dtype=np.int64)
     row_start = i * (2 * n - i - 1) // 2
     row = np.searchsorted(row_start, chosen, side="right") - 1

@@ -180,7 +180,16 @@ class Trace:
     def incidences(self) -> tuple[np.ndarray, np.ndarray]:
         """(item codes, user codes) of the distinct item-user pairs, by item, then user."""
         n = max(len(self.user_ids), 1)
-        return np.divmod(np.unique(self.item_codes.astype(np.int64) * n + self.user_codes), n)
+        keys = self.item_codes.astype(np.int64)
+        keys *= n
+        keys += self.user_codes
+        # Sorted, then the first of each run kept: on numpy >= 2.3 a plain
+        # np.unique takes a hash path about 10x slower than a sort on these keys.
+        keys.sort()
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        return np.divmod(keys[first], n)
 
     def sorted_by_time(self) -> "Trace":
         """Return the trace stably sorted by timestamp (itself, if already sorted)."""
@@ -468,9 +477,9 @@ def summarize(trace: Trace) -> TraceSummary:
     if not len(trace):
         raise EmptyTraceError("cannot summarize an empty trace")
     return TraceSummary(
-        user_count=len(np.unique(trace.user_codes)),
+        user_count=int(np.count_nonzero(np.bincount(trace.user_codes))),
         request_count_all=len(trace),
-        request_count_distinct=len(np.unique(trace.item_codes)),
+        request_count_distinct=int(np.count_nonzero(np.bincount(trace.item_codes))),
         duration=int(trace.timestamps.max() - trace.timestamps.min()),
     )
 

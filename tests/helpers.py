@@ -163,20 +163,17 @@ def graph(edges, nodes=()) -> Graph:
     """Graph over the edges' endpoints and the listed nodes; repeated edges collapse."""
     pairs = list(edges)
     ids, index = _ids(pairs, nodes)
-    a = np.array([index[u] for u, _ in pairs], dtype=np.int64)
-    b = np.array([index[v] for _, v in pairs], dtype=np.int64)
+    upper = sorted({tuple(sorted((index[u], index[v]))) for u, v in pairs})
+    a, b = np.array(upper, dtype=np.int64).reshape(-1, 2).T
     return Graph(tuple(ids), *symmetric_csr(len(ids), a, b))
 
 
 def dsg(mapping: dict, threshold: int = 1) -> DataSharingGraph:
     """DataSharingGraph from a mapping (u, v) -> weight with u < v."""
     ids, index = _ids(mapping)
-    entries = sorted((index[p], index[q], w) for (u, v), w in mapping.items()
-                     for p, q in ((u, v), (v, u)))
-    rows, cols, weights = np.array(entries, dtype=np.int64).reshape(-1, 3).T
-    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(ids)), out=indptr[1:])
-    return DataSharingGraph(tuple(ids), indptr, cols, weights, threshold)
+    upper = sorted((index[u], index[v], w) for (u, v), w in mapping.items())
+    a, b, weights = np.array(upper, dtype=np.int64).reshape(-1, 3).T
+    return DataSharingGraph(tuple(ids), *symmetric_csr(len(ids), a, b, weights), threshold)
 
 
 def weighted_edges(g: DataSharingGraph) -> dict:

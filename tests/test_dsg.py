@@ -14,6 +14,7 @@ from sharegraph import (
     weight_distribution,
 )
 from sharegraph import dsg as dsg_module
+from sharegraph.graph import BLOCK
 from helpers import (
     dsg,
     make_trace,
@@ -108,23 +109,59 @@ def test_pair_weights_in_small_runs_match_oracle(monkeypatch, block):
 
 
 def test_runs_of_several_rows_and_one_row_over_budget(monkeypatch):
-    # With BLOCK = 5, hub u0's row has 8 pairs and is a run alone; u1-u4 have
-    # one pair each and share a run; u5-u8 have four or five, a run apiece.
+    # A row counts a user's pairs with later users only. With BLOCK = 5, hub
+    # u0's row has 8 pairs and is a run alone; u1-u4 have none and share a run
+    # with u5 (4 pairs); u6 (2 pairs), u7 (1) and u8 (0) share the last run.
     monkeypatch.setattr(dsg_module, "BLOCK", 5)
     rows = [("u0", f"f{k}") for k in range(8)]
     rows += [(f"u{k + 1}", f"f{k}") for k in range(8)]
     rows += [(f"u{k}", "g") for k in range(5, 9)]
     rows += [("u5", "h"), ("u6", "h")]
     trace = make_trace(rows)
-    row_pairs = {}
-    for (u, v), w in oracle_dsg_edges(trace, 1).items():
-        row_pairs[u] = row_pairs.get(u, 0) + w
-        row_pairs[v] = row_pairs.get(v, 0) + w
-    assert row_pairs["u0"] > 5 and sum(row_pairs[f"u{k}"] for k in range(1, 5)) <= 5
+    row_pairs = dict.fromkeys(trace.user_ids, 0)
+    for (u, _), w in oracle_dsg_edges(trace, 1).items():
+        row_pairs[u] += w
+    runs = [[]]
+    for user, pairs in row_pairs.items():  # whole rows, at most 5 pairs a run unless one row has more
+        if runs[-1] and sum(row_pairs[u] for u in runs[-1]) + pairs > 5:
+            runs.append([])
+        runs[-1].append(user)
+    assert ["u0"] in runs and row_pairs["u0"] > 5
+    assert any(sum(row_pairs[u] > 0 for u in run) > 1 for run in runs)
     for threshold in (1, 2):
         g = build_dsg(trace, threshold)
         assert weighted_edges(g) == oracle_dsg_edges(trace, threshold)
         assert_csr_rows_sorted(g)
+
+
+@pytest.mark.parametrize("block", [1, 5, BLOCK])
+def test_every_entry_weight_is_its_mirrors_and_the_oracles(monkeypatch, block):
+    # weighted_edges reads the upper entries only; at_threshold filters all.
+    monkeypatch.setattr(dsg_module, "BLOCK", block)
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        trace = random_trace(rng, users=int(rng.integers(2, 13)),
+                             items=int(rng.integers(1, 31)),
+                             records=int(rng.integers(1, 80)))
+        for threshold in (1, 2, 3):
+            g = build_dsg(trace, threshold)
+            oracle = oracle_dsg_edges(trace, threshold)
+            entries = {(g.nodes[r], g.nodes[c]): w for r, c, w in
+                       zip(g.entry_rows().tolist(), g.indices.tolist(), g.weights.tolist())}
+            assert len(entries) == 2 * len(oracle)
+            for (u, v), w in entries.items():
+                assert entries[v, u] == w
+                assert oracle[min(u, v), max(u, v)] == w
+
+
+def test_more_users_than_sixteen_bits_hold():
+    # Past 2^16 users the pair keys widen to 64 bits and the user columns to 32.
+    rows = [(f"u{k:05d}", f"own{k}") for k in range(70_000)]
+    rows += [("u00001", "f"), ("u69998", "f"), ("u69999", "f"), ("u69998", "g"), ("u69999", "g")]
+    g = build_dsg(make_trace(rows), 1)
+    assert weighted_edges(g) == {("u00001", "u69998"): 1, ("u00001", "u69999"): 1,
+                                 ("u69998", "u69999"): 2}
+    assert g.at_threshold(2).nodes == ("u69998", "u69999")
 
 
 @pytest.mark.parametrize("threshold", [1, 2])

@@ -1,12 +1,24 @@
+import numpy as np
 import pytest
 
 from sharegraph import gnm_random_graph
+from sharegraph.graph import symmetric_csr
 from helpers import graph, oracle_components
 
 
 def test_parallel_edges_collapse():
     g = graph([(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1
+
+
+def test_symmetric_csr_mirrors_the_upper_pairs_and_their_values():
+    # upper pairs 0-1, 0-3, 1-2, 2-3 on five nodes; node 4 is isolated
+    a, b, values = np.array([[0, 0, 1, 2], [1, 3, 2, 3], [5, 6, 7, 8]])
+    indptr, indices, entry_values = symmetric_csr(5, a, b, values)
+    assert indptr.tolist() == [0, 2, 4, 6, 8, 8]
+    assert indices.tolist() == [1, 3, 0, 2, 1, 3, 0, 2]
+    assert entry_values.tolist() == [5, 6, 5, 7, 7, 8, 6, 8]
+    assert [x.tolist() for x in symmetric_csr(5, a, b)] == [indptr.tolist(), indices.tolist()]
 
 
 def test_isolated_nodes_kept_when_listed():

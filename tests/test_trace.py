@@ -380,6 +380,14 @@ def test_summarize_multiset_collapse():
     assert s.request_count_all == 5
 
 
+def test_summarize_window_counts_only_the_ids_it_uses():
+    # A window shares its trace's id tables, users and items it never requests included.
+    trace = make_trace([("u1", "f1", 0), ("u2", "f2", 1), ("u3", "f1", 2), ("u1", "f3", 3)])
+    s = summarize(slice_window(trace, TimeWindow(1, 3)))
+    assert (s.user_count, s.request_count_distinct) == (2, 2)
+    assert type(s.user_count) is int and type(s.request_count_distinct) is int
+
+
 def test_summarize_empty_raises():
     with pytest.raises(EmptyTraceError):
         summarize(trace_of(()))
