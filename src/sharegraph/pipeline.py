@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -207,6 +206,10 @@ def run_sweep(trace: Trace, spec: SweepSpec, workers: int = 1) -> list[SweepCell
     if workers <= 1:
         per_window = list(map(_run_window, jobs))
     else:
+        # Imported here: multiprocessing takes tens of milliseconds to import,
+        # which every in-process run would pay for nothing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_window = list(pool.map(_run_window, jobs, chunksize=1))
     return [result for results in per_window for result in results]

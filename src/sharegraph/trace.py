@@ -10,11 +10,14 @@ commas or newlines (the format could not carry them back out).
 
 The parse reads its input in blocks of whole lines. A regular block, one
 where every line is ``user,item,digits`` with ids of 1 to 8 bytes (see
-_regular_block), is converted by whole numpy columns. Every other block,
-one with a longer id included, goes through the line loop, which decodes
-each line on its own and is the one definition of a valid line; the
-vectorized route takes only blocks that the loop would accept unchanged, so
-both give the same trace.
+_regular_block), is converted by whole numpy columns, a word at a time:
+each id is one unaligned 8-byte load, a key whose order is the ids' ``str``
+order, and each timestamp one to three words converted by SWAR arithmetic.
+Ids are interned by key and decoded to ``str`` in bulk (see _IdTable).
+Every other block, one with a longer id included, goes through the line
+loop, which decodes each line on its own and is the one definition of a
+valid line; the vectorized route takes only blocks that the loop would
+accept unchanged, so both give the same trace.
 
 In memory a trace is columnar: int32 user and item codes into id tables
 sorted in ``str`` order, and int64 timestamps. Code order is therefore id
@@ -90,9 +93,14 @@ class TimeWindow:
 def _sorted_codes(names: list[str], codes) -> tuple[tuple[str, ...], np.ndarray]:
     """Re-code ``codes``, which index the distinct ``names``, into ``names`` sorted."""
     order = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), dtype=np.int32)
-    rank[order] = np.arange(len(names), dtype=np.int32)
-    return tuple(names[i] for i in order), rank[np.asarray(codes, dtype=np.int32)]
+    return tuple(names[i] for i in order), _ranked(order, codes)
+
+
+def _ranked(order, codes) -> np.ndarray:
+    """``codes`` re-coded to their places in ``order``, a permutation of them."""
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return rank[np.asarray(codes, dtype=np.int32)]
 
 
 def _intern(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -249,7 +257,7 @@ def _blocks(stream: BinaryIO) -> Iterator[bytes]:
 
     Every block but the last ends at a ``\\n``: the unfinished line at the end
     of each read is carried into the next block. The last block is what
-    follows the last ``\\n``, possibly nothing.
+    follows the last ``\\n``, if anything does.
     """
     tail = b""
     try:
@@ -261,7 +269,31 @@ def _blocks(stream: BinaryIO) -> Iterator[bytes]:
                 yield chunk[:cut]
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise TraceParseError(f"corrupt gzip input: {exc}") from exc
-    yield tail
+    if tail:
+        yield tail
+
+
+# A regular block is read in unaligned 8-byte words from a copy padded with
+# _PAD NUL bytes on each side: the third word of a timestamp (see
+# _regular_block) may start 19 bytes before a short first line, and an item
+# key may run past the block's end.
+_PAD = 3 * 8
+
+# _HIGH_BYTES[n] keeps the n most significant bytes of a word, n in 0..8.
+_HIGH_BYTES = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64)
+
+# _DIGIT_BYTES[k, d] keeps the bytes of a d-digit timestamp's word k (see
+# _regular_block) that hold its digits.
+_DIGIT_BYTES = _HIGH_BYTES[np.clip(np.arange(_DIGITS + 1) - 8 * np.arange(3)[:, None], 0, 8)]
+
+# SWAR constants: eight bytes of 0x30, and those of the digit-range check
+# and the eight-digit conversion (see _eight_digits).
+_ZEROS = np.uint64(0x3030303030303030)
+_SIXES = np.uint64(0x0606060606060606)
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_PAIRS = np.uint64(0x000000FF000000FF)
+_BY_100 = np.uint64(100 + (1000000 << 32))
+_BY_1 = np.uint64(1 + (10000 << 32))
 
 
 def _regular_block(chunk: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -272,8 +304,14 @@ def _regular_block(chunk: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     commas, a user id of 1 to _KEY_BYTES bytes before the first, an item id
     of 1 to _KEY_BYTES bytes between them, and after the second 1 to _DIGITS
     ASCII digits up to the ``\\n`` or a ``\\r`` just before it; no line
-    starts with ``#``. Returns the user keys, the item keys (see _field_keys)
-    and the int64 timestamps of its lines, or None for any other block.
+    starts with ``#``. Returns the user keys, the item keys and the int64
+    timestamps of its lines, or None for any other block.
+
+    A key is its id's bytes read as a big-endian uint64, NUL-padded, so with
+    no NUL in the ids equal keys are equal ids and key order is ``str``
+    order (UTF-8 keeps code point order). Each key is one unaligned 8-byte
+    load with the bytes past the id masked off; each timestamp is converted
+    from the one to three words that end at its line's end.
     """
     if not chunk.endswith(b"\n") or b"\0" in chunk:
         return None
@@ -287,65 +325,109 @@ def _regular_block(chunk: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
         except UnicodeDecodeError:
             return None
     b = np.frombuffer(chunk, dtype=np.uint8)
-    ends = np.flatnonzero(b == ord("\n"))
-    commas = np.flatnonzero(b == ord(","))
-    if len(commas) != 2 * len(ends):
+    lines = np.count_nonzero(b == ord("\n"))
+    seps = np.flatnonzero((b == ord("\n")) | (b == ord(",")))
+    # Every line is comma, comma, newline: a third of the separators are
+    # newlines and each third one is, so line k's separators are row k.
+    if len(seps) != 3 * lines:
         return None
-    # Line k's commas are commas 2k and 2k+1: the digits rule below puts the
-    # second before the line's end, with no comma after it.
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    first, second = commas[0::2], commas[1::2]
-    if not (np.all(starts < first) and np.all(first + 1 < second)):
+    seps = seps.reshape(-1, 3)
+    first, second, ends = seps.T
+    if not np.all(b[ends] == ord("\n")):
         return None
-    if max((first - starts).max(), (second - first).max() - 1) > _KEY_BYTES:
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    user_len, item_len = first - starts, second - first - 1
+    # Two columns of seps are overwritten in place, which keeps the block's
+    # temporaries small: ends becomes where each timestamp stops, and second
+    # its count of digits.
+    stop, digits = ends, second
+    stop -= b[stop - 1] == ord("\r")
+    np.subtract(stop, second, out=digits)
+    digits -= 1
+    if min(user_len.min(), item_len.min(), digits.min()) < 1:
+        return None
+    if max(user_len.max(), item_len.max()) > _KEY_BYTES or digits.max() > _DIGITS:
         return None
     if np.any(b[starts] == ord("#")):
         return None
-    stop = ends - (b[ends - 1] == ord("\r"))
-    digits = stop - second - 1
-    if digits.min() < 1 or digits.max() > _DIGITS:
-        return None
-    # Right-aligned digit columns; a position before the field adds a leading zero.
-    timestamps = np.zeros(len(ends), dtype=np.int64)
-    for k in range(int(digits.max()), 0, -1):
-        at = stop - k
-        digit = b[np.maximum(at, 0)] - np.uint8(ord("0"))
-        digit[at <= second] = 0
-        if digit.max() > 9:
+
+    padded = b"".join((bytes(_PAD), chunk, bytes(_PAD)))
+    # Element i of each view is the word of padded[i:i + 8].
+    keys = np.ndarray(len(padded) - 7, dtype=">u8", buffer=padded, strides=(1,))
+    words = np.ndarray(len(padded) - 7, dtype="<u8", buffer=padded, strides=(1,))
+    starts += _PAD
+    first += _PAD + 1
+    user_keys = keys[starts] & _HIGH_BYTES[user_len]
+    item_keys = keys[first] & _HIGH_BYTES[item_len]
+    # Only the timestamps are left to read: free the key columns first.
+    del starts, user_len, item_len
+    # Word k holds digits 8k+1 to 8k+8 from the right, last digit in its
+    # highest byte; a byte before the field counts as a leading zero.
+    stop += _PAD
+    timestamps = np.zeros(len(stop), dtype=np.uint64)
+    for k in range((int(digits.max()) + 7) // 8):
+        stop -= 8
+        word = words[stop]
+        word ^= _ZEROS
+        word &= _DIGIT_BYTES[k][digits]
+        # A byte was a digit exactly when it now holds 0 to 9, so that
+        # neither it nor it plus 6 has a bit in its high nibble.
+        if np.any((word | (word + _SIXES)) & _HIGH_NIBBLES):
             return None
-        timestamps *= 10
-        timestamps += digit
-    return _field_keys(b, starts, first), _field_keys(b, first + 1, second), timestamps
+        timestamps += _eight_digits(word) * 10 ** (8 * k)
+    return user_keys, item_keys, timestamps.view(np.int64)
 
 
-def _field_keys(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The fields ``b[lo:hi]``, of 1 to _KEY_BYTES bytes each, as uint64 keys.
+def _eight_digits(word: np.ndarray) -> np.ndarray:
+    """The numbers written by words of eight digit values, first digit lowest.
 
-    A key holds its field's bytes big-endian, NUL-padded. With no NUL in the
-    fields, equal keys are equal fields.
+    The SWAR conversion of Langdale and Lemire ("Parsing gigabytes of JSON
+    per second", 2019): pairs of digits, then fours, then all eight, each
+    step one multiply-add over the word. Products wrap in uint64.
     """
-    rows = np.zeros((len(lo), _KEY_BYTES), dtype=np.uint8)
-    last = len(b) - 1
-    for j in range(int((hi - lo).max())):
-        at = lo + j
-        rows[:, j] = np.where(at < hi, b[np.minimum(at, last)], 0)
-    return rows.view(">u8").ravel().astype(np.uint64)
+    word = word * 10 + (word >> 8)
+    return ((word & _PAIRS) * _BY_100 + ((word >> 16) & _PAIRS) * _BY_1) >> 32
+
+
+def _merge(known: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``known`` with ``new[j]`` inserted before ``known[at[j]]``; ``at`` is sorted."""
+    merged = np.empty(len(known) + len(new), dtype=known.dtype)
+    slots = at + np.arange(len(new))
+    merged[slots] = new
+    rest = np.ones(len(merged), dtype=bool)
+    rest[slots] = False
+    merged[rest] = known
+    return merged
 
 
 class _IdTable:
     """One column's ids, coded in order of first sight.
 
-    ``codes`` maps each id to its code, and both routes of the parse intern
-    into it. ``keys`` holds, sorted, the keys (see _field_keys) of the ids
-    that regular blocks have met, and ``key_codes`` their codes, so that a
-    block sends only the ids new to the trace to the dict. Each block that
-    meets new ids copies the two arrays once.
+    Regular blocks intern by key: ``keys`` holds, sorted, the keys (see
+    _regular_block) of the ids they have met and ``key_codes`` their codes,
+    so a block looks its distinct keys up at once and codes only the ids new
+    to the trace, merging them into the two arrays. While every id has a
+    key, a new key is a new id, and no id is decoded until the end, where
+    the key table, in ``str`` order, is the sorted id table. The line loop
+    interns by id into the dict ``by_id()``, made on its first call from the
+    keys decoded in bulk; from then on it holds every id, and a block's new
+    keys are decoded and looked up in it, since the line loop may have met
+    their ids first.
     """
 
     def __init__(self):
-        self.codes: dict[str, int] = {}
         self.keys = np.empty(0, dtype=np.uint64)
         self.key_codes = np.empty(0, dtype=np.int32)
+        self._by_id: dict[str, int] | None = None
+
+    def by_id(self) -> dict[str, int]:
+        """Every id met so far and its code, in code order."""
+        if self._by_id is None:
+            ids = _decoded(self.keys[np.argsort(self.key_codes)])
+            self._by_id = dict(zip(ids, range(len(ids))))
+        return self._by_id
 
     def block_codes(self, keys: np.ndarray) -> np.ndarray:
         """The int32 codes of a regular block's keys; their new ids are interned."""
@@ -358,13 +440,32 @@ class _IdTable:
         codes = np.empty(len(distinct), dtype=np.int32)
         codes[seen] = self.key_codes[at[seen]]
         new = ~seen
-        # An 8-byte string drops its trailing NULs, the padding, in tolist().
-        ids = distinct[new].astype(">u8").view("S8").tolist()
-        table = self.codes
-        codes[new] = [table.setdefault(key.decode(), len(table)) for key in ids]
-        self.keys = np.insert(known, at[new], distinct[new])
-        self.key_codes = np.insert(self.key_codes, at[new], codes[new])
+        if new.any():
+            new_keys = distinct[new]
+            table = self._by_id
+            if table is None:
+                codes[new] = np.arange(len(known), len(known) + len(new_keys))
+            else:
+                codes[new] = [table.setdefault(name, len(table)) for name in _decoded(new_keys)]
+            self.keys = _merge(known, at[new], new_keys)
+            self.key_codes = _merge(self.key_codes, at[new], codes[new])
         return codes[inverse.ravel()]
+
+    def sorted_codes(self, codes) -> tuple[tuple[str, ...], np.ndarray]:
+        """The ids sorted, and ``codes`` re-coded into that table."""
+        if self._by_id is not None and len(self._by_id) > len(self.keys):
+            # The line loop met ids that have no key.
+            return _sorted_codes(list(self._by_id), codes)
+        return tuple(_decoded(self.keys)), _ranked(self.key_codes, codes)
+
+
+def _decoded(keys: np.ndarray) -> list[str]:
+    """The ids of keys (see _regular_block), decoded at once."""
+    if not len(keys):
+        return []
+    # An 8-byte string drops its trailing NULs, the padding, in tolist(); no
+    # id holds a "\n", so one decode serves them all.
+    return b"\n".join(keys.astype(">u8").view("S8").tolist()).decode().split("\n")
 
 
 def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseResult:
@@ -394,7 +495,6 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
         stream = gzip.GzipFile(fileobj=stream)
 
     user_table, item_table = _IdTable(), _IdTable()
-    users, items = user_table.codes, item_table.codes
     user_codes, item_codes, timestamps = array("i"), array("i"), array("q")
     rejected, data_lines, lineno = [], 0, 0
     for chunk in _blocks(stream):
@@ -407,6 +507,7 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
             lineno += len(times)
             data_lines += len(times)
             continue
+        users, items = user_table.by_id(), item_table.by_id()
         lines = chunk.replace(b"\r\n", b"\n").split(b"\n")
         if chunk.endswith(b"\n"):
             lines.pop()
@@ -451,8 +552,8 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
             diagnostics=rejected,
         )
 
-    user_ids, user_codes = _sorted_codes(list(users), user_codes)
-    item_ids, item_codes = _sorted_codes(list(items), item_codes)
+    user_ids, user_codes = user_table.sorted_codes(user_codes)
+    item_ids, item_codes = item_table.sorted_codes(item_codes)
     # A view of the array's buffer, not a copy.
     trace = Trace(user_ids, user_codes, item_ids, item_codes,
                   np.frombuffer(timestamps, dtype=np.int64))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import gzip
@@ -254,7 +255,7 @@ def test_sweep_starts_at_most_one_worker_per_window(fixture_trace, tmp_path, mon
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     base = ["sweep", str(fixture_trace), "--lengths", length, "--thresholds", "1,2",
             "--origin", "0"]
     assert main(base + ["--workers", "8", "-o", str(tmp_path / "many")]) == 0
@@ -262,6 +263,15 @@ def test_sweep_starts_at_most_one_worker_per_window(fixture_trace, tmp_path, mon
     assert main(base + ["--workers", "1", "-o", str(tmp_path / "one")]) == 0
     for name in ("metrics.csv", "scatter.csv"):
         assert read(tmp_path / "many" / name) == read(tmp_path / "one" / name)
+
+
+def test_importing_the_pipeline_loads_no_multiprocessing():
+    # The process pool is imported only for a run with several workers.
+    code = ("import sys, sharegraph.pipeline, sharegraph.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_sweep_empty_graphs_flagged_but_successful(fixture_trace, tmp_path):

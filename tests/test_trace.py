@@ -219,19 +219,112 @@ def test_regular_block_converts_fields():
     b"u,i," + b"9" * 19 + b"\n",  # more than 18 digits
     b"u,i,+5\n", b"u,i, 5\n", b"u,i,5_0\n", "u,i,٥\n".encode(),  # int() accepts these
     b"u,i,5\r\r\n",  # a second \r is data
+    b"u,i,5/\n", b"u,i,:5\n", b"u,i,1234567:9\n", b"u,i,12345678/\n",  # next to the digits
 ])
 def test_irregular_blocks_go_to_the_line_loop(chunk):
     assert trace_module._regular_block(chunk) is None
 
 
+def _line_loop_outcome(data):
+    """The parse of ``data`` with every block sent to the line loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_module, "_regular_block", lambda chunk: None)
+        return _parse_outcome(data)
+
+
+_STAMPS = ["0", "7", "12345678", "00000001", "123456789", "000000001", "1234567890123456",
+           "0000000000000001", "12345678901234567", "00000000000000001", "999999999999999999",
+           "000000000000000018", "100000000000000000"]
+
+
+@pytest.mark.parametrize("data", [
+    # A first line shorter than a word: its timestamp word starts before the
+    # block, and its keys end past the line.
+    b"a,b,1\n", b"a,b,1\r\n", b"a,b,1\nc,d,22\n",
+    b"abcdefgh,ABCDEFGH,5\nu,i,6\nqrstuvwx,QRSTUVWX,7\n",  # 8-byte ids at both ends
+    b"u,i,6\nqrstuvwx,Q,7\nu,QRSTUVWX,8\n",  # the last key runs into the padding
+    # 8-byte non-ASCII ids
+    "\u00e9\u00e9\u00e9\u00e9,\u65e5\u672c\u00e9,0\r\n\u00e9\u65e5\u672c,u,1\r\n".encode(),
+    # Timestamps of one to three words, with leading zeros, after LF and CRLF
+    *(f"u,i,1{end}v,j,{stamp}{end}w,k,22{end}".encode() for stamp in _STAMPS
+      for end in ("\n", "\r\n")),
+])
+def test_word_route_matches_line_loop_at_word_edges(data):
+    assert trace_module._regular_block(data) is not None
+    outcome = _parse_outcome(data)
+    assert outcome == _line_loop_outcome(data)
+    assert outcome[4] == [int(line.split(b",")[2]) for line in data.splitlines()]
+
+
+def _routes_taken(monkeypatch):
+    """Patch the parse to record, per block, whether it took the word route."""
+    taken, convert = [], trace_module._regular_block
+
+    def spy(chunk):
+        fields = convert(chunk)
+        taken.append(fields is not None)
+        return fields
+
+    monkeypatch.setattr(trace_module, "_regular_block", spy)
+    return taken
+
+
+@pytest.mark.parametrize("data, routes", [
+    (b"u1,i1,+1\nu1,i1,2\n", [False, True]),  # int() takes "+1"; the word route does not
+    (b"u1,i1,1\nu1,i1,+2\nu1,i1,3\n", [True, False, True]),
+    (b"u1,i1, 1\nu2,i1,2\nu1,i2,+3\nu2,i2,4\n", [False, True, False, True]),
+    # Codes in first-sight order, not key order, when the line loop takes over.
+    (b"u2,i2,1\nu1,i1,2\nu3,i1,+3\nu1,i3,4\n", [True, True, False, True]),
+])
+def test_an_id_met_by_both_routes_gets_one_code(monkeypatch, data, routes):
+    monkeypatch.setattr(trace_module, "READ_BLOCK", 1)  # one line a block
+    taken = _routes_taken(monkeypatch)
+    trace = parse_trace(data).trace
+    assert taken == routes
+    rows = [line.split(",") for line in data.decode().splitlines()]
+    assert trace.user_ids == tuple(sorted({row[0] for row in rows}))
+    assert trace.item_ids == tuple(sorted({row[1] for row in rows}))
+    assert [(r.user_id, r.item_id) for r in trace.records] == [(u, i) for u, i, _ in rows]
+
+
+@pytest.mark.parametrize("block", [1, 24, trace_module.READ_BLOCK])
+def test_key_ordered_id_table_is_str_order(monkeypatch, block):
+    ids = ["\u00e9", "e", "z", "\u00e9\u00e9\u00e9\u00e9", "zzzzzzzz", "a", "ab", "\u65e5\u672c\u00e9",
+           "A", "~", "\u007f", "e\u00e9", "ee"]
+    assert max(len(name.encode()) for name in ids) == 8
+    lines = [f"{u},{i},{k}\n" for k, (u, i) in enumerate(zip(ids, reversed(ids)))]
+    monkeypatch.setattr(trace_module, "READ_BLOCK", block)
+    taken = _routes_taken(monkeypatch)
+    data = "".join(lines).encode()
+    outcome = _parse_outcome(data)
+    assert taken and all(taken)
+    assert list(outcome[0]) == sorted(ids)
+    assert outcome == _line_loop_outcome(data)
+    # With a line-loop block first, the table is sorted by the fallback.
+    data = b"x,y,+0\n" + data
+    outcome = _parse_outcome(data)
+    assert list(outcome[0]) == sorted([*ids, "x"])
+    assert outcome == _line_loop_outcome(data)
+
+
 _plain_ids = st.text(st.sampled_from("uvi7é"), min_size=1, max_size=4)
+# Up to 18 digits, so a timestamp spans one, two or three 8-byte words.
 _plain_stamps = st.one_of(st.integers(min_value=0, max_value=10**9).map(str),
-                          st.sampled_from(["0", "007", "9" * 18]))
+                          st.integers(min_value=0, max_value=10**18 - 1).map(str),
+                          st.builds(str.zfill, st.integers(0, 10**9).map(str), st.integers(1, 18)),
+                          st.sampled_from(["0", "007", "9" * 18, "9" * 8, "1" + "0" * 8,
+                                           "9" * 16, "1" + "0" * 16, "0" * 17 + "1"]))
 _odd_ids = st.one_of(st.sampled_from(["", "#u", "u\0", "7\0", "\0", "u\r", " ", "u,v",
                                      "uuuuuuuu", "uuuuuuuuu", "uuuuuuué"]),
                      st.text(st.sampled_from("u7é#\0\r ,"), max_size=10))
-_odd_stamps = st.sampled_from(["9" * 19, "1" + "0" * 18, "+5", " 5", "5 ", "5_0", "٥", "", "-3",
-                               "5\r", "5,6"])
+# "/" and ":" are the bytes next to "0" and "9": a digit check that is off
+# by one at either end lets them through.
+_odd_stamps = st.one_of(
+    st.sampled_from(["9" * 19, "1" + "0" * 18, "+5", " 5", "5 ", "5_0", "٥", "", "-3",
+                     "5\r", "5,6", "/", ":", "5/", ":5", "1234567:", "12345678/9"]),
+    st.builds(lambda digits, at, odd: digits[:at] + odd + digits[at:],
+              st.text("0123456789", max_size=17), st.integers(0, 17), st.sampled_from("/:")),
+)
 _line = "{},{},{}".format
 _regular_lines = st.builds(_line, _plain_ids, _plain_ids, _plain_stamps).map(str.encode)
 # An odd line is a regular line with one odd part, or one of a few odd lines.
