@@ -31,7 +31,7 @@ import numpy as np
 from .dsg import DataSharingGraph, build_dsg
 from .errors import EmptyTraceError
 from .metrics import clustering
-from .trace import TimeWindow, Trace
+from .trace import Trace
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def predict(b: BipartiteAffiliation) -> AffiliationPrediction:
 
 
 def compare_window(
-    window_trace: Trace, window: TimeWindow | None = None
+    window_trace: Trace,
 ) -> tuple[BipartiteAffiliation, AffiliationPrediction, DataSharingGraph]:
     """Model predictions and measured projection values for one window.
 
@@ -154,7 +154,7 @@ def compare_window(
     """
     bipartite = build_bipartite(window_trace)
     theory = predict(bipartite)
-    projection = build_dsg(window_trace, threshold=1, window=window)
+    projection = build_dsg(window_trace, threshold=1)
 
     flags = list(theory.flags)
     e = projection.edge_count

@@ -223,8 +223,8 @@ def cmd_sweep(args, out_dir: Path) -> int:
 
 def cmd_distributions(args, out_dir: Path) -> int:
     trace, digest = _load_trace_arg(args)
-    window, window_trace, _ = _resolve_window(args, trace)
-    graph = build_dsg(window_trace, args.threshold, window=window)
+    _, window_trace, _ = _resolve_window(args, trace)
+    graph = build_dsg(window_trace, args.threshold)
     _write(out_dir, "popularity.csv",
            pipeline.render_csv(["rank", "item_id", "requests"],
                                pipeline.popularity_rows(window_trace)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import BLOCK, Graph, _readonly, symmetric_csr
-from .trace import TimeWindow, Trace
+from .trace import Trace
 
 
 class DataSharingGraph(Graph):
@@ -26,21 +26,19 @@ class DataSharingGraph(Graph):
     CSR arrays as given.
     """
 
-    __slots__ = ("weights", "threshold", "window")
+    __slots__ = ("weights", "threshold")
 
     def __init__(self, nodes: tuple, indptr: np.ndarray, indices: np.ndarray,
-                 weights: np.ndarray, threshold: int, window: TimeWindow | None = None):
+                 weights: np.ndarray, threshold: int):
         super().__init__(nodes, indptr, indices)
         self.weights = _readonly(weights)
         self.threshold = threshold
-        self.window = window
 
     def __eq__(self, other):
         equal = super().__eq__(other)
         if equal is NotImplemented or not equal:
             return equal
-        return (np.array_equal(self.weights, other.weights)
-                and self.threshold == other.threshold and self.window == other.window)
+        return np.array_equal(self.weights, other.weights) and self.threshold == other.threshold
 
     __hash__ = None
 
@@ -61,8 +59,7 @@ class DataSharingGraph(Graph):
         heavy = self.weights >= threshold
         linked = np.bincount(self.entry_rows()[heavy], minlength=self.node_count) > 0
         # Both ends of a heavy entry are linked, so heavy is the kept-entry mask.
-        return DataSharingGraph(*self._restrict(linked, heavy), self.weights[heavy],
-                                threshold, self.window)
+        return DataSharingGraph(*self._restrict(linked, heavy), self.weights[heavy], threshold)
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,7 @@ def _row_counts(item: np.ndarray, user: np.ndarray, n_users: int, threshold: int
     return (key >> key_type(shift)).astype(user_type), key.astype(user_type), np.concatenate(counts)
 
 
-def build_dsg(window_trace: Trace, threshold: int, window: TimeWindow | None = None) -> DataSharingGraph:
+def build_dsg(window_trace: Trace, threshold: int) -> DataSharingGraph:
     """Build the data-sharing graph of a window trace.
 
     Pair weights are counted row by row over the upper triangle: user a's
@@ -153,7 +150,7 @@ def build_dsg(window_trace: Trace, threshold: int, window: TimeWindow | None = N
         indices = (np.cumsum(linked) - 1)[indices]
     users = window_trace.user_ids
     nodes = tuple(users[c] for c in codes[linked].tolist())
-    return DataSharingGraph(nodes, indptr, indices, weights, threshold, window)
+    return DataSharingGraph(nodes, indptr, indices, weights, threshold)
 
 
 def weight_distribution(g: DataSharingGraph) -> WeightDistribution:

@@ -135,7 +135,6 @@ class SweepSpec:
 class SweepCell:
     """One cell of the grid: one window of one length, at one threshold."""
 
-    interval_seconds: int
     window_index: int
     window: TimeWindow
     threshold: int
@@ -162,7 +161,7 @@ def _run_window(job: tuple[Trace, list[SweepCell], float | None]) -> list[SweepC
     for cell in cells:
         try:
             if base is None:
-                base = build_dsg(window_trace, lowest, window=cell.window)
+                base = build_dsg(window_trace, lowest)
             report = small_world_report(
                 base.at_threshold(cell.threshold),
                 sample_fraction=sample_fraction, seed=cell.path_seed,
@@ -195,8 +194,8 @@ def run_sweep(trace: Trace, spec: SweepSpec, workers: int = 1) -> list[SweepCell
             cells = []
             for threshold in spec.thresholds:
                 cells.append(SweepCell(
-                    interval_seconds=length, window_index=w_idx, window=window,
-                    threshold=threshold, path_seed=replicate_seed(spec.master_seed, index),
+                    window_index=w_idx, window=window, threshold=threshold,
+                    path_seed=replicate_seed(spec.master_seed, index),
                 ))
                 index += 1
             jobs.append((window_trace, cells, spec.sample_fraction))
@@ -236,7 +235,7 @@ def metrics_rows(system: str, results: list[SweepCellResult]) -> list[list]:
     rows = []
     for res in results:
         cell, r = res.cell, res.report
-        prefix = [system, cell.interval_seconds, cell.threshold]
+        prefix = [system, cell.window.end - cell.window.start, cell.threshold]
         suffix = [cell.window_index, cell.window.start, cell.window.end]
         if r is None:
             rows.append(prefix + [None] * len(_REPORT_FIELDS) + suffix + ["", f"error:{res.error}"])
@@ -290,7 +289,9 @@ def weight_hist_rows(graph: DataSharingGraph) -> list[list]:
 
 def affiliation_rows(window_trace: Trace, window: TimeWindow | None,
                      interval_seconds: int | None) -> list[list]:
-    bipartite, prediction, projection = compare_window(window_trace, window)
+    """The affiliation.csv row of one window trace. ``window`` is not read;
+    it stays for callers that pass all three arguments by position."""
+    bipartite, prediction, projection = compare_window(window_trace)
     return [[
         interval_seconds,
         bipartite.user_count,

@@ -117,9 +117,8 @@ class NullModelComparison:
 
 
 def _row(source: str, replicate: int, seed: int | None, window_trace: Trace,
-         threshold: int, window: TimeWindow | None,
-         sample_fraction: float | None, path_seed: int) -> NullModelRow:
-    graph = build_dsg(window_trace, threshold, window=window)
+         threshold: int, sample_fraction: float | None, path_seed: int) -> NullModelRow:
+    graph = build_dsg(window_trace, threshold)
     dist = weight_distribution(graph)
     report = small_world_report(graph, sample_fraction=sample_fraction, seed=path_seed)
     return NullModelRow(
@@ -153,12 +152,11 @@ def null_model_comparison(
     def windowed(t: Trace) -> Trace:
         return slice_window(t, window) if window is not None else t
 
-    rows = [_row("real", 0, None, windowed(trace), threshold, window,
-                 sample_fraction, path_seed)]
+    rows = [_row("real", 0, None, windowed(trace), threshold, sample_fraction, path_seed)]
     for mode in modes:
         for r in range(replicates):
             seed = replicate_seed(mode.seed, r)
             shuffled = shuffle_trace(trace, ShuffleMode(mode.variant, seed))
             rows.append(_row(mode.variant, r, seed, windowed(shuffled), threshold,
-                             window, sample_fraction, path_seed))
+                             sample_fraction, path_seed))
     return NullModelComparison(rows=tuple(rows))

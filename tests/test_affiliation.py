@@ -164,3 +164,13 @@ def test_compare_window_disjoint_items():
     assert math.isnan(pred.avg_degree_measured)
     assert pred.avg_degree_measured_all_users == 0.0
     assert "empty_projection" in pred.flags
+
+
+def test_compare_window_two_disjoint_pairs():
+    # Every item has two users: the model has no triples (degenerate), and
+    # the projection, two disjoint edges, has none either.
+    trace = make_trace([("u1", "i1"), ("u2", "i1"), ("u3", "i2"), ("u4", "i2")])
+    _, pred, projection = compare_window(trace)
+    assert pred.flags == ("degenerate_model", "measured_no_triples")
+    assert math.isnan(pred.clustering_measured)
+    assert (projection.node_count, projection.edge_count) == (4, 2)

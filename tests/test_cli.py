@@ -265,10 +265,12 @@ def test_sweep_starts_at_most_one_worker_per_window(fixture_trace, tmp_path, mon
         assert read(tmp_path / "many" / name) == read(tmp_path / "one" / name)
 
 
-def test_importing_the_pipeline_loads_no_multiprocessing():
-    # The process pool is imported only for a run with several workers.
-    code = ("import sys, sharegraph.pipeline, sharegraph.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+def test_importing_the_library_loads_no_multiprocessing_or_test_dependencies():
+    # The process pool is imported only for a run with several workers, and
+    # numpy is the only runtime dependency: the test extras stay unloaded.
+    unwanted = ("multiprocessing", "scipy", "networkx", "hypothesis", "mpmath")
+    code = ("import sys, sharegraph, sharegraph.pipeline, sharegraph.cli\n"
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {unwanted!r}))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
@@ -307,8 +309,7 @@ def test_sweep_sampled_metrics_csv_has_one_field_per_column(tmp_path):
 
 
 def test_metrics_csv_error_row_has_one_field_per_column():
-    cell = SweepCell(interval_seconds=10, window_index=3, window=TimeWindow(30, 40),
-                     threshold=1, path_seed=0)
+    cell = SweepCell(window_index=3, window=TimeWindow(30, 40), threshold=1, path_seed=0)
     result = SweepCellResult(cell=cell, report=None, error="ValueError: boom")
     text = render_csv(METRICS_COLUMNS, metrics_rows("web", [result]))
     (row,) = csv.DictReader(io.StringIO(text))
@@ -332,6 +333,15 @@ def test_sweep_rejects_path_fraction_outside_unit_interval(fixture_trace, tmp_pa
     out = tmp_path / "out"
     assert main(["sweep", str(fixture_trace), "--lengths", "10", "--thresholds", "1",
                  "--path-mode", "sampled", "--path-fraction", fraction,
+                 "-o", str(out)]) == EXIT_PRECONDITION
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("lengths,thresholds", [("0", "1"), ("10", "0")],
+                         ids=["length", "threshold"])
+def test_sweep_rejects_a_zero_grid_value(fixture_trace, tmp_path, lengths, thresholds):
+    out = tmp_path / "out"
+    assert main(["sweep", str(fixture_trace), "--lengths", lengths, "--thresholds", thresholds,
                  "-o", str(out)]) == EXIT_PRECONDITION
     assert not (out / "metrics.csv").exists()
 
@@ -423,6 +433,41 @@ def test_affiliation_degenerate_flagged(tmp_path):
     row = read(out / "affiliation.csv").splitlines()[1]
     assert "degenerate_model" in row
     assert row.split(",")[4] == ""  # clustering_theory cell is blank
+
+
+def test_affiliation_two_disjoint_pairs_flag_both_sides(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("u1,i1,0\nu2,i1,1\nu3,i2,2\nu4,i2,3\n")
+    out = tmp_path / "out"
+    assert main(["affiliation", str(path), "-o", str(out)]) == 0
+    row = read(out / "affiliation.csv").splitlines()[1].split(",")
+    assert row[-1] == "degenerate_model;measured_no_triples"
+    assert row[5] == ""  # clustering_measured cell is blank
+
+
+def _affiliation_csv(path, out, *window):
+    assert main(["affiliation", str(path), *window, "-o", str(out)]) == 0
+    return read(out / "affiliation.csv")
+
+
+def test_affiliation_window_defaults_to_the_trace_ends(tmp_path):
+    # Records at 100..159: a lone --window-start runs to the last record, a
+    # lone --window-length starts at the first.
+    path = tmp_path / "t.csv"
+    path.write_text("".join(f"u{k % 7},f{k % 5},{100 + k}\n" for k in range(60)))
+    assert (_affiliation_csv(path, tmp_path / "a", "--window-start", "120")
+            == _affiliation_csv(path, tmp_path / "b", "--window-start", "120",
+                                "--window-length", "40"))
+    assert (_affiliation_csv(path, tmp_path / "c", "--window-length", "30")
+            == _affiliation_csv(path, tmp_path / "d", "--window-start", "100",
+                                "--window-length", "30"))
+
+
+def test_affiliation_window_of_an_empty_trace_exits_precondition(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    assert main(["affiliation", str(path), "--window-length", "10",
+                 "-o", str(tmp_path / "out")]) == EXIT_PRECONDITION
 
 
 # --- nullmodel ---

@@ -187,6 +187,13 @@ def test_edges_listing_is_the_graph_listing():
     assert g.edges() == plain.edges() == [("u1", "u2"), ("u1", "u3"), ("u2", "u3")]
 
 
+def test_at_threshold_takes_no_lower_threshold():
+    g = build_dsg(SHARED_TRACE, 2)
+    assert g.at_threshold(2) is g
+    with pytest.raises(ValueError, match="below"):
+        g.at_threshold(1)
+
+
 def test_threshold_monotonicity():
     rng = np.random.default_rng(23)
     for _ in range(20):
