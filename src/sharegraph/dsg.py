@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BLOCK, Graph, _readonly, symmetric_csr
+from .graph import BLOCK, Graph, _kept_nodes, _readonly, drop_empty_rows, symmetric_csr
 from .trace import Trace
 
 
@@ -42,10 +42,6 @@ class DataSharingGraph(Graph):
 
     __hash__ = None
 
-    def edge_weights(self) -> np.ndarray:
-        """The weight of every edge, once each, in sorted edge order."""
-        return self.weights[self._upper()[2]]
-
     def at_threshold(self, threshold: int) -> "DataSharingGraph":
         """The graph of the same window at a threshold no lower than this one's.
 
@@ -56,10 +52,14 @@ class DataSharingGraph(Graph):
             raise ValueError(f"threshold {threshold} is below this graph's {self.threshold}")
         if threshold == self.threshold:
             return self
-        heavy = self.weights >= threshold
-        linked = np.bincount(self.entry_rows()[heavy], minlength=self.node_count) > 0
-        # Both ends of a heavy entry are linked, so heavy is the kept-entry mask.
-        return DataSharingGraph(*self._restrict(linked, heavy), self.weights[heavy], threshold)
+        kept = np.flatnonzero(self.weights >= threshold)
+        # A row's first kept entry is the number of kept entries before the
+        # row. Both entries of an edge hold its weight, so no kept entry
+        # points at a row left empty.
+        linked, indptr, indices = drop_empty_rows(np.searchsorted(kept, self.indptr),
+                                                  self.indices[kept])
+        return DataSharingGraph(_kept_nodes(self.nodes, linked), indptr, indices,
+                                self.weights[kept], threshold)
 
 
 @dataclass(frozen=True)
@@ -144,23 +144,25 @@ def build_dsg(window_trace: Trace, threshold: int) -> DataSharingGraph:
     codes, user = np.unique(user_code, return_inverse=True)
     n = len(codes)
     indptr, indices, weights = symmetric_csr(n, *_row_counts(item, user, n, threshold))
-    linked = indptr[1:] > indptr[:-1]
-    if not linked.all():
-        indptr = indptr[np.concatenate(([True], linked))]
-        indices = (np.cumsum(linked) - 1)[indices]
+    linked, indptr, indices = drop_empty_rows(indptr, indices)
     users = window_trace.user_ids
     nodes = tuple(users[c] for c in codes[linked].tolist())
     return DataSharingGraph(nodes, indptr, indices, weights, threshold)
 
 
 def weight_distribution(g: DataSharingGraph) -> WeightDistribution:
-    """Histogram the edge weights; median/mean are NaN for an empty graph."""
-    weights = g.edge_weights()
+    """Histogram the edge weights; median/mean are NaN for an empty graph.
+
+    Each edge's weight sits in both of its entries, so the entries hold every
+    weight twice: the counts are halved, and the mean and median of the
+    doubled multiset are those of the edges.
+    """
+    weights = g.weights
     if not len(weights):
         return WeightDistribution(counts={}, mean=math.nan, median=math.nan)
     values, counts = np.unique(weights, return_counts=True)
     return WeightDistribution(
-        counts=dict(zip(values.tolist(), counts.tolist())),
+        counts=dict(zip(values.tolist(), (counts // 2).tolist())),
         mean=int(weights.sum()) / len(weights),
         median=float(np.median(weights)),
     )

@@ -7,11 +7,7 @@ id. Each undirected edge is stored once in each endpoint's row.
 
 from __future__ import annotations
 
-from typing import Hashable
-
 import numpy as np
-
-Node = Hashable
 
 # Entries per temporary array in the chunked passes over pairs, paths and
 # packed adjacency rows (metrics triangle counting, and dsg.build_dsg, which
@@ -63,6 +59,24 @@ def symmetric_csr(n: int, a: np.ndarray, b: np.ndarray, values: np.ndarray | Non
     return indptr, indices, entry_values
 
 
+def drop_empty_rows(indptr: np.ndarray, indices: np.ndarray):
+    """(linked, indptr, indices) with the rows that have no entries removed.
+
+    ``linked`` marks the rows kept. No entry may point at a dropped row; the
+    kept rows are relabelled in order.
+    """
+    linked = indptr[1:] > indptr[:-1]
+    if not linked.all():
+        indptr = indptr[np.concatenate(([True], linked))]
+        indices = (np.cumsum(linked) - 1)[indices]
+    return linked, indptr, indices
+
+
+def _kept_nodes(nodes: tuple, keep: np.ndarray) -> tuple:
+    """The ids of the kept node indices, in index order."""
+    return tuple(nodes[i] for i in np.flatnonzero(keep).tolist())
+
+
 class Graph:
     """Undirected simple graph over sortable hashable node ids.
 
@@ -109,21 +123,6 @@ class Graph:
         """The row (source node index) of every entry of ``indices``."""
         return np.repeat(np.arange(self.node_count), self.degrees())
 
-    def _upper(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, columns, entry mask) of the entries with row < column.
-
-        That is each edge once, in sorted order.
-        """
-        rows = self.entry_rows()
-        keep = rows < self.indices
-        return rows[keep], self.indices[keep], keep
-
-    def edges(self) -> list[tuple[Node, Node]]:
-        """Each edge once, endpoints ordered, list sorted."""
-        rows, cols, _ = self._upper()
-        nodes = self.nodes
-        return [(nodes[a], nodes[b]) for a, b in zip(rows.tolist(), cols.tolist())]
-
     def _component_labels(self) -> np.ndarray:
         """Each node's label: the index of the smallest node of its component.
 
@@ -163,26 +162,13 @@ class Graph:
         roots, sizes = np.unique(label, return_counts=True)
         if len(roots) == 1:
             return 1, self
-        return len(roots), Graph(*self._restrict(label == roots[np.argmax(sizes)]))
-
-    def _restrict(self, node_keep: np.ndarray, entry_keep: np.ndarray | None = None) -> tuple:
-        """Subgraph on the kept nodes and entries, relabelled in index order.
-
-        Returns its (nodes, indptr, indices), the constructor's arguments.
-        """
-        rows = self.entry_rows()
-        keep = node_keep[rows] & node_keep[self.indices]
-        if entry_keep is not None:
-            keep &= entry_keep
-        new_index = np.cumsum(node_keep) - 1
-        indptr = np.zeros(int(node_keep.sum()) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[keep], minlength=self.node_count)[node_keep], out=indptr[1:])
-        nodes = self.nodes
-        return (
-            tuple(nodes[i] for i in np.flatnonzero(node_keep).tolist()),
-            indptr,
-            new_index[self.indices[keep]],
-        )
+        keep = label == roots[np.argmax(sizes)]
+        # A component is closed: its rows keep all their entries and no others.
+        degrees = self.degrees()
+        indptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+        np.cumsum(degrees[keep], out=indptr[1:])
+        indices = (np.cumsum(keep) - 1)[self.indices[np.repeat(keep, degrees)]]
+        return len(roots), Graph(_kept_nodes(self.nodes, keep), indptr, indices)
 
 
 def gnm_random_graph(n: int, m: int, seed: int = 0) -> Graph:

@@ -257,18 +257,23 @@ def _blocks(stream: BinaryIO) -> Iterator[bytes]:
 
     Every block but the last ends at a ``\\n``: the unfinished line at the end
     of each read is carried into the next block. The last block is what
-    follows the last ``\\n``, if anything does.
+    follows the last ``\\n``, if anything does. The unfinished line is kept
+    as the pieces read so far and only each new read is searched, so a line
+    of any length costs time linear in its length.
     """
-    tail = b""
+    pieces = []
     try:
         for block in iter(lambda: stream.read(READ_BLOCK), b""):
-            chunk = tail + block
-            cut = chunk.rfind(b"\n") + 1
-            tail = chunk[cut:]
-            if cut:
-                yield chunk[:cut]
+            cut = block.rfind(b"\n") + 1
+            if not cut:
+                pieces.append(block)
+                continue
+            pieces.append(block[:cut])
+            yield b"".join(pieces)
+            pieces = [block[cut:]]
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise TraceParseError(f"corrupt gzip input: {exc}") from exc
+    tail = b"".join(pieces)
     if tail:
         yield tail
 

@@ -16,12 +16,28 @@ from sharegraph.graph import symmetric_csr
 
 
 # ---------------------------------------------------------------------------
+# edge lists
+
+def edges(g: Graph) -> list[tuple]:
+    """Each edge once, endpoints ordered, list sorted: the entries with row < column."""
+    rows = g.entry_rows()
+    upper = rows < g.indices
+    nodes = g.nodes
+    return [(nodes[a], nodes[b]) for a, b in zip(rows[upper].tolist(), g.indices[upper].tolist())]
+
+
+def edge_weights(g: DataSharingGraph) -> np.ndarray:
+    """The weight of every edge, once each, in the order of ``edges``."""
+    return g.weights[g.entry_rows() < g.indices]
+
+
+# ---------------------------------------------------------------------------
 # clustering oracles
 
 def _adjacency(graph: Graph) -> dict:
     """Each node's set of neighbours, from the sorted edge list."""
     adj = {u: set() for u in graph.nodes}
-    for u, v in graph.edges():
+    for u, v in edges(graph):
         adj[u].add(v)
         adj[v].add(u)
     return adj
@@ -178,7 +194,7 @@ def dsg(mapping: dict, threshold: int = 1) -> DataSharingGraph:
 
 def weighted_edges(g: DataSharingGraph) -> dict:
     """The mapping (u, v) -> weight, u < v, of a data-sharing graph's edges."""
-    return dict(zip(g.edges(), g.edge_weights().tolist()))
+    return dict(zip(edges(g), edge_weights(g).tolist()))
 
 
 def complete_graph(n: int) -> Graph:

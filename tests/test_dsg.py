@@ -1,6 +1,8 @@
 import math
 import random
+import statistics
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from sharegraph import (
     Graph,
     TimeWindow,
+    TraceRecord,
     build_dsg,
     generate_synthetic_trace,
     slice_window,
@@ -17,6 +20,7 @@ from sharegraph import dsg as dsg_module
 from sharegraph.graph import BLOCK
 from helpers import (
     dsg,
+    edges,
     make_trace,
     oracle_components,
     oracle_dsg_edges,
@@ -80,14 +84,28 @@ def test_record_order_does_not_matter():
 # --- oracle equivalence and monotonicity ---
 
 def test_matches_all_pairs_oracle():
+    # The weight distribution counts every weight in both of its entries;
+    # its mean and median must be exactly those of the oracle's edge weights.
     rng = np.random.default_rng(17)
+    middles = set()  # (edge count odd, middle weights distinct) seen
     for _ in range(60):
         trace = random_trace(rng, users=int(rng.integers(2, 13)),
                              items=int(rng.integers(1, 31)),
                              records=int(rng.integers(1, 80)))
         for threshold in (1, 2, 3):
             g = build_dsg(trace, threshold)
-            assert weighted_edges(g) == oracle_dsg_edges(trace, threshold)
+            oracle = oracle_dsg_edges(trace, threshold)
+            assert weighted_edges(g) == oracle
+            weights = sorted(oracle.values())
+            if not weights:
+                continue
+            dist = weight_distribution(g)
+            assert dist.counts == Counter(weights)
+            assert dist.mean == sum(weights) / len(weights)
+            assert dist.median == statistics.median(weights)
+            m = len(weights)
+            middles.add((m % 2 == 1, weights[(m - 1) // 2] != weights[m // 2]))
+    assert {(True, False), (False, False), (False, True)} <= middles
 
 
 def assert_csr_rows_sorted(g):
@@ -164,6 +182,17 @@ def test_more_users_than_sixteen_bits_hold():
     assert g.at_threshold(2).nodes == ("u69998", "u69999")
 
 
+def _traced_peak(step):
+    """The result of step() and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 @pytest.mark.parametrize("threshold", [1, 2])
 def test_build_peaks_below_three_times_its_result(threshold):
     # The build holds its result, one run of rows and arrays over the
@@ -171,20 +200,36 @@ def test_build_peaks_below_three_times_its_result(threshold):
     # (E = 329k) and at threshold 2 (E = 107k), where counting item by item
     # and merging the runs at the end took 4.4x and 9.9x.
     trace = generate_synthetic_trace(1000, 10000, 10000, "zipf", seed=1)
-    tracemalloc.start()
-    try:
-        g = build_dsg(trace, threshold)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g, peak = _traced_peak(lambda: build_dsg(trace, threshold))
     assert g.edge_count > 0
     assert peak < 3 * (g.indices.nbytes + g.weights.nbytes)
+
+
+def test_at_threshold_peaks_near_its_result():
+    # The cut reads row offsets: the measured peak was 667 KiB where cutting
+    # through an entry-row array of the base graph took 6,426 KiB.
+    base = build_dsg(generate_synthetic_trace(800, 3000, 12000, "zipf", seed=1), 1)
+    g, peak = _traced_peak(lambda: base.at_threshold(5))
+    assert g.edge_count > 0
+    result = g.indptr.nbytes + g.indices.nbytes + g.weights.nbytes
+    assert peak < 2 * result + 2 * len(base.indices)
+
+
+def test_largest_component_cut_peaks_below_two_and_a_half_times_its_result():
+    # A component keeps its rows whole: the measured peak was 2.00x the
+    # result, where cutting through an entry-row array took 3.13x.
+    trace = generate_synthetic_trace(800, 3000, 12000, "zipf", seed=1)
+    pair = [TraceRecord(user, "item-of-the-pair", 0) for user in ("pair-a", "pair-b")]
+    base = build_dsg(trace_of([*trace.records, *pair]), 1)
+    (count, g), peak = _traced_peak(base.largest_component)
+    assert count == 2 and g.node_count == base.node_count - 2
+    assert peak < 2.5 * (g.indptr.nbytes + g.indices.nbytes)
 
 
 def test_edges_listing_is_the_graph_listing():
     g = build_dsg(SHARED_TRACE, 1)
     plain = Graph(g.nodes, g.indptr, g.indices)
-    assert g.edges() == plain.edges() == [("u1", "u2"), ("u1", "u3"), ("u2", "u3")]
+    assert edges(g) == edges(plain) == [("u1", "u2"), ("u1", "u3"), ("u2", "u3")]
 
 
 def test_at_threshold_takes_no_lower_threshold():
@@ -201,7 +246,7 @@ def test_threshold_monotonicity():
         previous = build_dsg(trace, 1)
         for threshold in (2, 3, 4):
             current = build_dsg(trace, threshold)
-            assert set(current.edges()) <= set(previous.edges())
+            assert set(edges(current)) <= set(edges(previous))
             previous = current
 
 
@@ -301,7 +346,7 @@ def test_components_match_union_find_oracle():
     for _ in range(20):
         trace = random_trace(rng, users=14, items=10, records=60)
         g = build_dsg(trace, 1)
-        expected = oracle_components(g.nodes, g.edges())
+        expected = oracle_components(g.nodes, edges(g))
         count, largest = g.largest_component()
         assert count == len(expected)
         if expected:

@@ -19,7 +19,7 @@ from sharegraph import (
     weight_distribution,
 )
 from sharegraph.shuffle import replicate_seed
-from helpers import make_trace, random_trace, trace_of
+from helpers import edge_weights, make_trace, random_trace, trace_of
 
 
 def columns(trace):
@@ -171,8 +171,8 @@ def test_shuffled_graphs_lose_heavy_edges(variant):
     shuffled_median = weight_distribution(shuffled).median
     assert real_median == 200  # every same-group pair shares the full pool
     assert shuffled_median < real_median
-    heavy_real = int((real.edge_weights() >= 100).sum())
-    heavy_shuffled = int((shuffled.edge_weights() >= 100).sum())
+    heavy_real = int((edge_weights(real) >= 100).sum())
+    heavy_shuffled = int((edge_weights(shuffled) >= 100).sum())
     assert heavy_shuffled < heavy_real
 
 

@@ -4,6 +4,7 @@ import pickle
 import platform
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -175,6 +176,17 @@ def test_parse_lines_straddling_read_blocks(monkeypatch, block):
     assert parse_trace(gzip.compress(data)) == expected
     assert [r.user_id for r in expected.trace.records] == ["u1", "u2", "longer_user", "u4"]
     assert [d.line_number for d in expected.rejected] == [4, 5]
+
+
+def test_a_long_line_parses_in_linear_time(monkeypatch):
+    # Carrying the unfinished line by re-joining and re-searching it on
+    # every read took 9.3 s here: time quadratic in the line's length.
+    data = b"u" * (4 << 20) + b",f1,1\nu2,f2,2\n"
+    monkeypatch.setattr(trace_module, "READ_BLOCK", 256)
+    start = time.perf_counter()
+    result = parse_trace(data)
+    assert time.perf_counter() - start < 1
+    assert [(len(r.user_id), r.item_id) for r in result.trace.records] == [(4 << 20, "f1"), (2, "f2")]
 
 
 class _ReadOnly:
