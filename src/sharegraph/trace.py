@@ -8,7 +8,12 @@ with ``#`` are comments, blank lines are ignored, and gzip-compressed input
 is detected by its magic bytes. IDs are opaque tokens; they may not contain
 commas or newlines (the format could not carry them back out).
 
-The parse reads its input in blocks of whole lines. A regular block, one
+The parse reads its input in blocks of whole lines. Plain input is read on
+the calling thread. Gzip input is inflated one read ahead on a helper
+thread (see _ReadAhead), which zlib lets run while the caller converts the
+block before. The helper never outlives the parse, except that an
+interrupt while it waits on a stalled pipe is raised at once and leaves it
+in that read (see parse_trace). A regular block, one
 where every line is ``user,item,digits`` with ids of 1 to 8 bytes (see
 _regular_block), is converted by whole numpy columns, a word at a time:
 each id is one unaligned 8-byte load, a key whose order is the ids' ``str``
@@ -28,6 +33,8 @@ from __future__ import annotations
 
 import gzip
 import io
+import queue
+import threading
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -252,18 +259,71 @@ class _Prefixed:
         return head
 
 
-def _blocks(stream: BinaryIO) -> Iterator[bytes]:
+class _ReadAhead:
+    """``stream.read(READ_BLOCK)`` made on a helper thread, one read ahead.
+
+    The helper makes the first read as soon as it starts. Each call to
+    ``read`` takes the block the helper read, asks for the next one unless
+    that block is the last (``b""``), and returns it, so the helper reads
+    while the caller works on what it got. An exception raised by a read is
+    raised by ``read`` unchanged.
+
+    ``close`` stops the helper. It joins it when no read is in flight,
+    which is so once ``read`` has returned ``b""`` or raised. A caller that
+    closes it for an exception of its own, an interrupt say, leaves a read
+    in flight and does not wait for it: a read of a stalled pipe could take
+    for ever. The helper is a daemon thread and ends when that read
+    returns, and it does not hold up the interpreter's exit.
+    """
+
+    def __init__(self, stream: BinaryIO):
+        self._requests, self._replies = queue.SimpleQueue(), queue.SimpleQueue()
+        self._in_flight = True
+        self._requests.put(True)
+        self._helper = threading.Thread(target=self._serve, args=(stream,), daemon=True)
+        self._helper.start()
+
+    def _serve(self, stream: BinaryIO) -> None:
+        while self._requests.get():
+            try:
+                self._replies.put((stream.read(READ_BLOCK), None))
+            except BaseException as exc:  # raised again by read, in the caller
+                self._replies.put((b"", exc))
+
+    def read(self) -> bytes:
+        block, exc = self._replies.get()
+        self._in_flight = False
+        if exc is not None:
+            raise exc
+        if block:
+            # Marked first: an interrupt between the two lines may then skip
+            # a join that would not have waited, but never waits on a read.
+            self._in_flight = True
+            self._requests.put(True)
+        return block
+
+    def close(self) -> None:
+        self._requests.put(False)
+        if not self._in_flight:
+            self._helper.join()
+
+
+def _blocks(stream: BinaryIO, ahead: bool) -> Iterator[bytes]:
     """The bytes of a binary stream in blocks of whole lines.
 
     Every block but the last ends at a ``\\n``: the unfinished line at the end
     of each read is carried into the next block. The last block is what
     follows the last ``\\n``, if anything does. The unfinished line is kept
     as the pieces read so far and only each new read is searched, so a line
-    of any length costs time linear in its length.
+    of any length costs time linear in its length. With ``ahead`` the reads
+    are made on a helper thread (see _ReadAhead), stopped before the last
+    block is yielded or an error is raised.
     """
+    reader = _ReadAhead(stream) if ahead else None
+    read = reader.read if ahead else lambda: stream.read(READ_BLOCK)
     pieces = []
     try:
-        for block in iter(lambda: stream.read(READ_BLOCK), b""):
+        for block in iter(read, b""):
             cut = block.rfind(b"\n") + 1
             if not cut:
                 pieces.append(block)
@@ -273,6 +333,9 @@ def _blocks(stream: BinaryIO) -> Iterator[bytes]:
             pieces = [block[cut:]]
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise TraceParseError(f"corrupt gzip input: {exc}") from exc
+    finally:
+        if ahead:
+            reader.close()
     tail = b"".join(pieces)
     if tail:
         yield tail
@@ -486,23 +549,39 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
     ID) are rejected individually and reported with their line numbers. Ids
     are interned as they are read, so no per-record object is made.
 
+    Plain input is read on the calling thread. Gzip input is inflated one
+    read ahead on a helper thread, so that inflating a block overlaps
+    converting the one before. The helper never outlives the call: it is
+    joined before the call returns or raises, but for one case. An
+    interrupt that arrives while the helper waits on a stalled pipe is
+    raised at once, without waiting for that read; the helper, a daemon
+    thread, ends when the read returns and does not delay the
+    interpreter's exit. Closing a buffered file (``io.BufferedReader``)
+    waits for a read in progress, so ``load_trace`` and the command line
+    open their file unbuffered.
+
     Raises:
         TraceParseError: when gzip input is truncated or corrupt, or when at
             least one data line was present and every one of them was
             rejected. The exception carries the diagnostics.
+        OSError: as raised by a read of the input, unchanged, also when the
+            helper thread made that read.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
     stream = io.BytesIO(data) if isinstance(data, bytes) else data
     magic = stream.read(2)
+    if len(magic) == 1:  # a raw stream, a pipe say, may return less
+        magic += stream.read(1)
     stream = _Prefixed(magic, stream)
-    if magic == _GZIP_MAGIC:
+    gzipped = magic == _GZIP_MAGIC
+    if gzipped:
         stream = gzip.GzipFile(fileobj=stream)
 
     user_table, item_table = _IdTable(), _IdTable()
     user_codes, item_codes, timestamps = array("i"), array("i"), array("q")
     rejected, data_lines, lineno = [], 0, 0
-    for chunk in _blocks(stream):
+    for chunk in _blocks(stream, ahead=gzipped):
         regular = _regular_block(chunk)
         if regular is not None:
             user_keys, item_keys, times = regular
@@ -568,8 +647,13 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
 
 
 def load_trace(path, *, sort: bool = False) -> ParseResult:
-    """Parse a trace file (plain or gzip) block by block as it is read."""
-    with open(path, "rb") as fh:
+    """Parse a trace file (plain or gzip) block by block as it is read.
+
+    The file is opened unbuffered: closing a buffered file waits for a read
+    in progress, and after an interrupt on gzip input the parse's helper
+    may still be reading a stalled pipe (see parse_trace).
+    """
+    with open(path, "rb", buffering=0) as fh:
         return parse_trace(fh, sort=sort)
 
 

@@ -1,15 +1,18 @@
 import concurrent.futures
 import contextlib
 import csv
+import errno
 import gzip
 import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharegraph import (
-    TimeWindow, Trace, __version__, generate_synthetic_trace, pipeline, render_trace,
+    TimeWindow, Trace, TraceParseError, __version__, generate_synthetic_trace, load_trace,
+    parse_trace, pipeline, render_trace,
 )
+import sharegraph.cli as cli_module
 from sharegraph.cli import EXIT_IO, EXIT_PARSE, EXIT_PRECONDITION, main
 from sharegraph.pipeline import (
     METRICS_COLUMNS,
@@ -103,6 +108,26 @@ def test_summary_reads_a_pipe(tmp_path, compress):
     assert manifest["input_sha256"] == hashlib.sha256(data).hexdigest()
 
 
+def test_interrupt_while_a_gzip_pipe_stalls_exits_at_once(tmp_path):
+    # The helper thread is left blocked on the pipe: neither it nor closing
+    # the file may hold up the exit.
+    trace = generate_synthetic_trace(500, 5000, 100_000, seed=3)
+    data = gzip.compress(render_trace(trace).encode())
+    child = subprocess.Popen(
+        [sys.executable, "-m", "sharegraph.cli", "summary", "/dev/stdin", "-o", str(tmp_path)],
+        stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        child.stdin.write(data[:len(data) // 2])
+        child.stdin.flush()
+        time.sleep(0.5)
+        child.send_signal(signal.SIGINT)
+        assert child.wait(timeout=10) == -signal.SIGINT
+    finally:
+        child.kill()
+        child.stdin.close()
+        child.wait()
+
+
 def test_summary_empty_file_precondition_exit(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -119,16 +144,51 @@ def test_unparseable_trace_exit(tmp_path):
 _GZIP_TRACE = gzip.compress(SIX_RECORD_CSV.encode() * 20)
 
 
-@pytest.mark.parametrize("data", [
-    _GZIP_TRACE[:len(_GZIP_TRACE) // 2],  # truncated: EOFError
-    _GZIP_TRACE[:10] + b"\xff" * 20,  # invalid deflate block: zlib.error
-    _GZIP_TRACE[:-8] + b"\0" * 8,  # wrong CRC: gzip.BadGzipFile
-], ids=["truncated", "bad-deflate", "bad-crc"])
+_CORRUPT_GZIP = [
+    pytest.param(_GZIP_TRACE[:len(_GZIP_TRACE) // 2], id="truncated"),  # EOFError
+    pytest.param(_GZIP_TRACE[:10] + b"\xff" * 20, id="bad-deflate"),  # zlib.error
+    pytest.param(_GZIP_TRACE[:-8] + b"\0" * 8, id="bad-crc"),  # gzip.BadGzipFile
+]
+
+
+@pytest.mark.parametrize("data", _CORRUPT_GZIP)
 def test_corrupt_gzip_parse_exit(tmp_path, capsys, data):
     bad = tmp_path / "bad.csv.gz"
     bad.write_bytes(data)
     assert main(["summary", str(bad), "-o", str(tmp_path / "out")]) == EXIT_PARSE
     assert "error: corrupt gzip input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [pytest.param(_GZIP_TRACE, id="good"), *_CORRUPT_GZIP])
+def test_gzip_parse_leaves_no_thread_running(data):
+    # Gzip input is inflated on a helper thread, joined before the parse
+    # returns or raises.
+    threads = threading.active_count()
+    with contextlib.suppress(TraceParseError):
+        parse_trace(data)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_read_error_partway_io_exit(tmp_path, monkeypatch, capsys, compress):
+    data = render_trace(generate_synthetic_trace(50, 200, 3000, seed=2)).encode()
+    path = tmp_path / "trace.csv"
+    path.write_bytes(gzip.compress(data) if compress else data)
+    fail_at = path.stat().st_size // 2
+
+    class FailingHalfway(cli_module._HashingReader):
+        given = 0
+
+        def read(self, size=-1):
+            if self.given >= fail_at:
+                raise OSError(errno.EIO, "Input/output error")
+            block = super().read(min(size, 1000) if size >= 0 else 1000)
+            self.given += len(block)
+            return block
+
+    monkeypatch.setattr(cli_module, "_HashingReader", FailingHalfway)
+    assert main(["summary", str(path), "-o", str(tmp_path / "out")]) == EXIT_IO
+    assert "error: [Errno 5] Input/output error" in capsys.readouterr().err
 
 
 def test_invalid_utf8_line_is_a_line_diagnostic(tmp_path, capsys):
@@ -234,6 +294,27 @@ def test_sweep_worker_count_does_not_change_output(tmp_path):
     assert main(base + ["-o", str(out_1), "--workers", "1"]) == 0
     assert main(base + ["-o", str(out_2), "--workers", "2"]) == 0
     assert read(out_1 / "metrics.csv") == read(out_2 / "metrics.csv")
+
+
+def test_sweep_workers_fork_after_a_gzip_load(tmp_path, monkeypatch):
+    # The parse inflates gzip input on a helper thread; a pool must not fork
+    # while it runs.
+    path = tmp_path / "web.csv.gz"
+    path.write_bytes(gzip.compress(make_web_like_trace(tmp_path).read_bytes()))
+    threads = set(threading.enumerate())
+    trace = load_trace(path, sort=True).trace
+    threads_at_fork, fork = [], os.fork
+
+    def recording_fork():
+        threads_at_fork.append(set(threading.enumerate()))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    spec = pipeline.SweepSpec(window_lengths=(3600, 7200), thresholds=(1, 5), origin=0)
+    pooled = pipeline.run_sweep(trace, spec, workers=2)
+    assert threads_at_fork == [threads, threads]  # fork, Linux's start method
+    assert (render_csv(METRICS_COLUMNS, metrics_rows("web", pooled))
+            == render_csv(METRICS_COLUMNS, metrics_rows("web", pipeline.run_sweep(trace, spec))))
 
 
 @pytest.mark.parametrize("length, pools", [("3", [2]), ("10", [])])

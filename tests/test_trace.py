@@ -1,9 +1,11 @@
+import errno
 import gzip
 import io
 import pickle
 import platform
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -204,6 +206,53 @@ def test_parse_a_stream_that_cannot_seek(compress):
     assert parse_trace(_ReadOnly(b"\n")).trace == trace_of(())  # shorter than the magic
 
 
+class _OneByteReads:
+    """A stream whose every read returns at most one byte, as a raw pipe's may."""
+
+    def __init__(self, data):
+        self._read = io.BytesIO(data).read
+
+    def read(self, size=-1):
+        return self._read(1 if size else 0)
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_parse_a_stream_of_short_reads(compress):
+    # The gzip magic arrives in two reads.
+    data = SIX_RECORD_CSV.encode()
+    stream = _OneByteReads(gzip.compress(data) if compress else data)
+    assert parse_trace(stream) == parse_trace(data)
+
+
+class _FailingAfter:
+    """A stream that gives the first ``at`` bytes of ``data``, then raises ``error``."""
+
+    def __init__(self, data, at, error):
+        self._read, self._error = io.BytesIO(data[:at]).read, error
+
+    def read(self, size=-1):
+        block = self._read(size)
+        if not block:
+            raise self._error
+        return block
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_read_error_partway_is_raised_unchanged(monkeypatch, compress):
+    # On gzip input the failing read is made on the helper thread.
+    data = render_trace(generate_synthetic_trace(50, 200, 3000, seed=2)).encode()
+    data = gzip.compress(data) if compress else data
+    monkeypatch.setattr(trace_module, "READ_BLOCK", 1000)
+    taken = _routes_taken(monkeypatch)
+    error = OSError(errno.EIO, "Input/output error")
+    threads = threading.active_count()
+    with pytest.raises(OSError) as raised:
+        parse_trace(_FailingAfter(data, len(data) // 2, error))
+    assert raised.value is error
+    assert taken  # blocks were parsed before the read failed
+    assert threading.active_count() == threads
+
+
 # --- the vectorized route for regular blocks ---
 
 def test_regular_block_converts_fields():
@@ -377,6 +426,16 @@ def test_vectorized_route_matches_line_loop(data, block):
         mixed = _parse_outcome(data)
         mp.setattr(trace_module, "_regular_block", lambda chunk: None)
         assert mixed == _parse_outcome(data)
+
+
+@given(_lines_bytes, st.integers(min_value=1, max_value=64))
+@settings(max_examples=200, deadline=None)
+def test_gzip_input_parses_as_plain(data, block):
+    # Gzip input is read on a helper thread; small blocks make many
+    # hand-overs, with reads ending mid-line and mid-UTF-8 sequence.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_module, "READ_BLOCK", block)
+        assert _parse_outcome(gzip.compress(data)) == _parse_outcome(data)
 
 
 @pytest.fixture(scope="module")
