@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Verbs: summary, sweep, distributions, affiliation, nullmodel, synth.
-Each verb reads a canonical trace CSV (plain or gzip), writes its report
-files plus a manifest.json into --out, and prints what it wrote.
+Each verb but synth reads a canonical trace CSV (plain or gzip). A verb is
+a function from its arguments and the loaded trace to its reports; ``main``
+loads and hashes the input, then writes the reports plus a manifest.json
+into --out and prints what it wrote.
 
 Exit codes: 0 success (possibly with flagged rows), 2 usage error,
 3 trace parse failure, 4 precondition failure, 5 I/O failure.
@@ -18,6 +20,7 @@ from pathlib import Path
 from . import __version__, pipeline
 from .dsg import build_dsg
 from .errors import DisconnectedGraphError, EmptyTraceError, TraceParseError
+from .pipeline import render_csv
 from .shuffle import ShuffleMode, null_model_comparison, replicate_seed
 from .trace import (
     TimeWindow,
@@ -33,6 +36,10 @@ EXIT_OK = 0
 EXIT_PARSE = 3
 EXIT_PRECONDITION = 4
 EXIT_IO = 5
+
+# What a verb returns: its reports as {file name: text}, in writing order,
+# and the parameters its manifest.json records.
+Outputs = tuple[dict[str, str], dict]
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -176,32 +183,16 @@ def _resolve_window(args, trace: Trace) -> tuple[TimeWindow | None, Trace, int |
     return window, slice_window(trace, window), length
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
-    path = out_dir / name
-    path.write_text(text, encoding="utf-8")
-    print(f"wrote {path}")
-
-
-def _write_manifest(out_dir: Path, command: str, parameters: dict,
-                    master_seed: int, input_sha256: str | None) -> None:
-    _write(out_dir, "manifest.json",
-           pipeline.manifest_json(command, parameters, master_seed, input_sha256))
-
-
 def _sample_fraction(args) -> float | None:
     return args.path_fraction if args.path_mode == "sampled" else None
 
 
-def cmd_summary(args, out_dir: Path) -> int:
-    trace, digest = _load_trace_arg(args)
+def cmd_summary(args, trace: Trace) -> Outputs:
     rows = pipeline.summary_rows(trace)
-    _write(out_dir, "summary.csv", pipeline.render_csv(pipeline.SUMMARY_COLUMNS, rows))
-    _write_manifest(out_dir, "summary", {}, args.seed, digest)
-    return EXIT_OK
+    return {"summary.csv": render_csv(pipeline.SUMMARY_COLUMNS, rows)}, {}
 
 
-def cmd_sweep(args, out_dir: Path) -> int:
-    trace, digest = _load_trace_arg(args)
+def cmd_sweep(args, trace: Trace) -> Outputs:
     spec = pipeline.SweepSpec(
         window_lengths=args.lengths,
         thresholds=args.thresholds,
@@ -211,53 +202,43 @@ def cmd_sweep(args, out_dir: Path) -> int:
     )
     system = args.system if args.system is not None else Path(args.trace).stem
     results = pipeline.run_sweep(trace, spec, workers=args.workers)
-    _write(out_dir, "metrics.csv",
-           pipeline.render_csv(pipeline.METRICS_COLUMNS, pipeline.metrics_rows(system, results)))
-    _write(out_dir, "scatter.csv",
-           pipeline.render_csv(pipeline.SCATTER_COLUMNS, pipeline.scatter_rows(results)))
-    _write_manifest(out_dir, "sweep", {
+    return {
+        "metrics.csv": render_csv(pipeline.METRICS_COLUMNS,
+                                  pipeline.metrics_rows(system, results)),
+        "scatter.csv": render_csv(pipeline.SCATTER_COLUMNS, pipeline.scatter_rows(results)),
+    }, {
         "lengths": list(args.lengths), "thresholds": list(args.thresholds),
         "origin": args.origin, "system": system,
         "path_mode": args.path_mode, "path_fraction": args.path_fraction,
-    }, args.seed, digest)
-    return EXIT_OK
+    }
 
 
-def cmd_distributions(args, out_dir: Path) -> int:
-    trace, digest = _load_trace_arg(args)
+def cmd_distributions(args, trace: Trace) -> Outputs:
     _, window_trace, _ = _resolve_window(args, trace)
     graph = build_dsg(window_trace, args.threshold)
-    _write(out_dir, "popularity.csv",
-           pipeline.render_csv(["rank", "item_id", "requests"],
-                               pipeline.popularity_rows(window_trace)))
-    _write(out_dir, "user_activity.csv",
-           pipeline.render_csv(["rank", "user_id", "requests_total", "requests_distinct"],
-                               pipeline.user_activity_rows(window_trace)))
-    _write(out_dir, "degree_hist.csv",
-           pipeline.render_csv(["degree", "node_count"], pipeline.degree_hist_rows(graph)))
-    _write(out_dir, "weight_hist.csv",
-           pipeline.render_csv(["weight", "edge_count"], pipeline.weight_hist_rows(graph)))
-    _write_manifest(out_dir, "distributions", {
+    return {
+        "popularity.csv": render_csv(["rank", "item_id", "requests"],
+                                     pipeline.popularity_rows(window_trace)),
+        "user_activity.csv": render_csv(
+            ["rank", "user_id", "requests_total", "requests_distinct"],
+            pipeline.user_activity_rows(window_trace)),
+        "degree_hist.csv": render_csv(["degree", "node_count"], pipeline.degree_hist_rows(graph)),
+        "weight_hist.csv": render_csv(["weight", "edge_count"], pipeline.weight_hist_rows(graph)),
+    }, {
         "window_start": args.window_start, "window_length": args.window_length,
         "threshold": args.threshold,
-    }, args.seed, digest)
-    return EXIT_OK
+    }
 
 
-def cmd_affiliation(args, out_dir: Path) -> int:
-    trace, digest = _load_trace_arg(args)
+def cmd_affiliation(args, trace: Trace) -> Outputs:
     window, window_trace, length = _resolve_window(args, trace)
     rows = pipeline.affiliation_rows(window_trace, window, length)
-    _write(out_dir, "affiliation.csv",
-           pipeline.render_csv(pipeline.AFFILIATION_COLUMNS, rows))
-    _write_manifest(out_dir, "affiliation", {
+    return {"affiliation.csv": render_csv(pipeline.AFFILIATION_COLUMNS, rows)}, {
         "window_start": args.window_start, "window_length": args.window_length,
-    }, args.seed, digest)
-    return EXIT_OK
+    }
 
 
-def cmd_nullmodel(args, out_dir: Path) -> int:
-    trace, digest = _load_trace_arg(args)
+def cmd_nullmodel(args, trace: Trace) -> Outputs:
     window, _, _ = _resolve_window(args, trace)
     variants = tuple(v.strip() for v in args.modes.split(",") if v.strip())
     modes = [ShuffleMode(v, seed=replicate_seed(args.seed, i))
@@ -266,22 +247,20 @@ def cmd_nullmodel(args, out_dir: Path) -> int:
         trace, window, args.threshold, modes, replicates=args.replicates,
         sample_fraction=_sample_fraction(args), path_seed=args.seed,
     )
-    _write(out_dir, "nullmodel.csv",
-           pipeline.render_csv(pipeline.NULLMODEL_COLUMNS,
-                               pipeline.nullmodel_rows(comparison)))
-    _write(out_dir, "nullmodel_summary.csv",
-           pipeline.render_csv(pipeline.NULLMODEL_SUMMARY_COLUMNS,
-                               pipeline.nullmodel_summary_rows(comparison)))
-    _write_manifest(out_dir, "nullmodel", {
+    return {
+        "nullmodel.csv": render_csv(pipeline.NULLMODEL_COLUMNS,
+                                    pipeline.nullmodel_rows(comparison)),
+        "nullmodel_summary.csv": render_csv(pipeline.NULLMODEL_SUMMARY_COLUMNS,
+                                            pipeline.nullmodel_summary_rows(comparison)),
+    }, {
         "window_start": args.window_start, "window_length": args.window_length,
         "threshold": args.threshold, "modes": list(variants),
         "replicates": args.replicates,
         "path_mode": args.path_mode, "path_fraction": args.path_fraction,
-    }, args.seed, digest)
-    return EXIT_OK
+    }
 
 
-def cmd_synth(args, out_dir: Path) -> int:
+def cmd_synth(args, _trace: None) -> Outputs:
     if args.clustered:
         trace = generate_clustered_trace(
             groups=args.groups, users_per_group=args.users_per_group,
@@ -304,9 +283,7 @@ def cmd_synth(args, out_dir: Path) -> int:
             "requests": args.requests, "popularity": args.popularity,
             "zipf_exponent": args.zipf_exponent, "span": args.span,
         }
-    _write(out_dir, "trace.csv", render_trace(trace))
-    _write_manifest(out_dir, "synth", params, args.seed, None)
-    return EXIT_OK
+    return {"trace.csv": render_trace(trace)}, params
 
 
 _COMMANDS = {
@@ -320,11 +297,24 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one verb: load and hash its trace, then write its reports and manifest.json.
+
+    A verb only computes; nothing is written unless it returns, so a run that
+    fails with exit 3 or 4 leaves no file in --out.
+    """
     args = _build_parser().parse_args(argv)
     try:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](args, out_dir)
+        trace, digest = (None, None) if args.command == "synth" else _load_trace_arg(args)
+        reports, parameters = _COMMANDS[args.command](args, trace)
+        reports["manifest.json"] = pipeline.manifest_json(
+            args.command, parameters, args.seed, digest)
+        for name, text in reports.items():
+            path = out_dir / name
+            path.write_text(text, encoding="utf-8")
+            print(f"wrote {path}")
+        return EXIT_OK
     except TraceParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -127,7 +127,7 @@ def _triangles(g: Graph) -> np.ndarray:
             closed = np.zeros(len(c) + 1, dtype=np.int64)
             np.cumsum(hit, out=closed[1:])
             support[e0:e1] = closed[end] - closed[end - run]
-            tri += np.bincount(c[hit], minlength=n)
+            np.add.at(tri, c[hit], 1)
             mark[dst[e0:e1]] = 0
         lo = hi
     np.add.at(tri, src, support)

@@ -1,12 +1,13 @@
 """Request-trace parsing, windowing, summaries, and synthetic generators.
 
 Canonical trace format: plain CSV text, one record per line as
-``user_id,item_id,timestamp`` with integer-second timestamps. A line ends at
-``\\n``, and one ``\\r`` just before it is dropped, so CRLF files read the
-same; any other character, a lone ``\\r`` included, is data. Lines starting
-with ``#`` are comments, blank lines are ignored, and gzip-compressed input
-is detected by its magic bytes. IDs are opaque tokens; they may not contain
-commas or newlines (the format could not carry them back out).
+``user_id,item_id,timestamp`` with integer-second timestamps (parse_trace
+lists the forms a timestamp may take). A line ends at ``\\n``, and one
+``\\r`` just before it is dropped, so CRLF files read the same; any other
+character, a lone ``\\r`` included, is data. Lines starting with ``#`` are
+comments, blank lines are ignored, and gzip-compressed input is detected by
+its magic bytes. IDs are opaque tokens; they may not contain commas or
+newlines (the format could not carry them back out).
 
 The parse reads its input in blocks of whole lines. Plain input is read on
 the calling thread. Gzip input is inflated one read ahead on a helper
@@ -544,10 +545,15 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
     transparently. A block in which every line is regular (see
     _regular_block) is converted by whole numpy columns; any other block
     goes through the line loop, which decodes each line on its own and
-    defines what a valid line is. Malformed lines
-    (invalid UTF-8, wrong field count, bad or out-of-range timestamp, empty
-    ID) are rejected individually and reported with their line numbers. Ids
-    are interned as they are read, so no per-record object is made.
+    defines what a valid line is. A timestamp is any field that ``int()``
+    accepts with a value in [0, 2**63 - 1): a sign, surrounding whitespace
+    (so the ``\\r`` left by a ``\\r\\r\\n`` line ending), ``_`` between
+    digits and non-ASCII decimal digits included; the word route takes only
+    1 to 18 ASCII digits and leaves every other form to the line loop.
+    Malformed lines (invalid UTF-8, wrong field count, bad or out-of-range
+    timestamp, empty ID) are rejected individually and reported with their
+    line numbers. Ids are interned as they are read, so no per-record
+    object is made.
 
     Plain input is read on the calling thread. Gzip input is inflated one
     read ahead on a helper thread, so that inflating a block overlaps

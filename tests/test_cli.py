@@ -409,6 +409,44 @@ def test_sweep_results_hold_no_trace():
         assert not any(isinstance(value, Trace) for value in vars(result.cell).values())
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_cell_that_raises_becomes_an_error_row(tmp_path, monkeypatch, workers):
+    # A forked worker inherits the patched report; each threshold-2 cell raises.
+    report = pipeline.small_world_report
+
+    def failing_at_two(graph, **kwargs):
+        if graph.threshold == 2:
+            raise RuntimeError("boom")
+        return report(graph, **kwargs)
+
+    monkeypatch.setattr(pipeline, "small_world_report", failing_at_two)
+    path = make_web_like_trace(tmp_path)
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--lengths", "7200", "--thresholds", "1,2",
+                 "--origin", "0", "--workers", workers, "-o", str(out)]) == 0
+    with open(out / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["window_index"], row["threshold"]) for row in rows] == [
+        (str(w), t) for w in range(5) for t in ("1", "2")]
+    for row in rows:
+        if row["threshold"] == "2":
+            assert row["flags"] == "error:RuntimeError: boom"
+            assert all(row[c] == "" for c in METRICS_COLUMNS[3:15])
+        else:
+            assert row["nodes"] and row["cc1"] and not row["flags"].startswith("error:")
+    with open(out / "scatter.csv", newline="") as fh:
+        scatter = list(csv.DictReader(fh))
+    assert scatter and {row["threshold"] for row in scatter} == {"1"}
+
+
+def test_sweep_grid_and_worker_count_are_validated():
+    with pytest.raises(ValueError, match="non-empty"):
+        pipeline.SweepSpec((), (1,))
+    trace = generate_synthetic_trace(5, 5, 20, seed=1)
+    with pytest.raises(ValueError, match="workers"):
+        pipeline.run_sweep(trace, pipeline.SweepSpec((10,), (1,)), workers=0)
+
+
 @pytest.mark.parametrize("fraction", ["0", "1.5", "nan"])
 def test_sweep_rejects_path_fraction_outside_unit_interval(fixture_trace, tmp_path, fraction):
     out = tmp_path / "out"
@@ -576,6 +614,40 @@ def test_nullmodel_row_counts_and_reseeding(tmp_path):
 def test_nullmodel_rejects_unknown_mode(tmp_path, fixture_trace):
     assert main(["nullmodel", str(fixture_trace), "--modes", "ST9",
                  "-o", str(tmp_path / "out")]) == EXIT_PRECONDITION
+
+
+# --- failed runs ---
+
+_EMPTY, _CORRUPT = "", _GZIP_TRACE[:len(_GZIP_TRACE) // 2]
+
+
+@pytest.mark.parametrize("data, argv, code", [
+    pytest.param(_CORRUPT, ["summary"], EXIT_PARSE, id="summary-parse"),
+    pytest.param(_EMPTY, ["summary"], EXIT_PRECONDITION, id="summary-empty"),
+    pytest.param(_CORRUPT, ["sweep", "--lengths", "10", "--thresholds", "1"], EXIT_PARSE,
+                 id="sweep-parse"),
+    pytest.param(SIX_RECORD_CSV, ["sweep", "--lengths", "0", "--thresholds", "1"],
+                 EXIT_PRECONDITION, id="sweep-zero-length"),
+    pytest.param(_CORRUPT, ["distributions"], EXIT_PARSE, id="distributions-parse"),
+    pytest.param(_EMPTY, ["distributions", "--window-length", "10"], EXIT_PRECONDITION,
+                 id="distributions-empty-window"),
+    pytest.param(_CORRUPT, ["affiliation"], EXIT_PARSE, id="affiliation-parse"),
+    pytest.param(SIX_RECORD_CSV, ["affiliation", "--window-start", "99"], EXIT_PRECONDITION,
+                 id="affiliation-empty-window"),
+    pytest.param(_CORRUPT, ["nullmodel"], EXIT_PARSE, id="nullmodel-parse"),
+    pytest.param(SIX_RECORD_CSV, ["nullmodel", "--modes", "ST9"], EXIT_PRECONDITION,
+                 id="nullmodel-unknown-mode"),
+    pytest.param(None, ["synth", "--users", "0"], EXIT_PRECONDITION, id="synth-no-users"),
+])
+def test_a_failed_run_writes_no_file(tmp_path, capsys, data, argv, code):
+    if data is not None:
+        path = tmp_path / "t.csv"
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        argv = [argv[0], str(path), *argv[1:]]
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == code
+    assert list(out.iterdir()) == []
+    assert capsys.readouterr().out == ""
 
 
 # --- module entry point ---

@@ -333,6 +333,12 @@ def test_report_of_one_edge_has_nan_cc2_and_its_flags():
     assert report.flags == ("cc2_no_triples", "l_random_unstable")
 
 
+def test_report_of_isolated_nodes_has_zero_cc1_and_its_flags():
+    report = small_world_report(gnm_random_graph(5, 0))
+    assert report.cc1 == 0.0
+    assert report.flags == ("cc2_no_triples", "single_node_component")
+
+
 def test_one_triangle_pass_per_report_and_per_window(monkeypatch):
     passes = []
     triangles = metrics_module._triangles

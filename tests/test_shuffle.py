@@ -42,6 +42,11 @@ def test_empty_trace_rejected():
         shuffle_trace(trace_of(()), ShuffleMode("ST1"))
 
 
+def test_null_model_comparison_of_an_empty_trace_rejected():
+    with pytest.raises(EmptyTraceError):
+        null_model_comparison(trace_of(()), None, 1, [ShuffleMode("ST1")], replicates=1)
+
+
 def test_single_user_st2_is_identity():
     trace = make_trace([("u1", "f1", 0), ("u1", "f2", 3), ("u1", "f3", 9)])
     shuffled = shuffle_trace(trace, ShuffleMode("ST2", seed=99))

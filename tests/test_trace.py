@@ -624,6 +624,10 @@ def test_window_slices_rejects_bad_length():
         window_slices(trace, 0)
 
 
+def test_window_slices_of_an_empty_trace_is_empty():
+    assert window_slices(trace_of(()), 10) == []
+
+
 def test_slice_window_filters_half_open():
     trace = make_trace([("u1", "f1", 0), ("u2", "f2", 10), ("u3", "f3", 20)])
     sliced = slice_window(trace, TimeWindow(0, 20))
