@@ -38,28 +38,39 @@ def _packed_support(g: Graph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     Schank and Wagner, WEA 2005). The rows are packed one slab of ``width``
     words at a time, V * width <= BLOCK words unless a single word per row
     already exceeds it, and the counts are summed over the slabs. A slab is
-    filled from runs of BLOCK CSR entries and read for runs of BLOCK // width
-    edges, so no temporary outgrows the slab.
+    filled from runs of BLOCK // 4 CSR entries and read for runs of
+    BLOCK // width edges, so no temporary outgrows the slab. The entries are
+    sorted by row, then column, so the bits of one slab word are adjacent
+    and OR-reduced in one step.
     """
     n = g.node_count
     words = -(-n // 64)
     width = min(words, max(1, BLOCK // n))
     step = max(1, BLOCK // width)
+    fill = max(1, BLOCK // 4)
     indptr, indices = g.indptr, g.indices
     support = np.zeros(len(src), dtype=np.int64)
     for w0 in range(0, words, width):
         w1 = min(w0 + width, words)
         slab = np.zeros(n * (w1 - w0), dtype=np.uint64)
-        for e0 in range(0, len(indices), BLOCK):
-            e1 = min(e0 + BLOCK, len(indices))
+        for e0 in range(0, len(indices), fill):
+            e1 = min(e0 + fill, len(indices))
             r0 = int(np.searchsorted(indptr, e0, side="right")) - 1
             r1 = int(np.searchsorted(indptr, e1, side="left"))
             rows = np.repeat(np.arange(r0, r1), np.diff(np.clip(indptr[r0:r1 + 1], e0, e1)))
             cols = indices[e0:e1]
             word = cols >> 6
             keep = (word >= w0) & (word < w1)
+            cell = rows[keep] * (w1 - w0) + (word[keep] - w0)
+            if not len(cell):
+                continue
             bit = np.left_shift(np.uint64(1), (cols[keep] & 63).astype(np.uint64))
-            np.bitwise_or.at(slab, rows[keep] * (w1 - w0) + (word[keep] - w0), bit)
+            starts = np.empty(len(cell), dtype=bool)
+            starts[0] = True
+            np.not_equal(cell[1:], cell[:-1], out=starts[1:])
+            first = np.flatnonzero(starts)
+            # |=, not =: a cell that straddles two runs of entries gets bits from both.
+            slab[cell[first]] |= np.bitwise_or.reduceat(bit, first)
         slab = slab.reshape(n, w1 - w0)
         for s0 in range(0, len(src), step):
             a, b = src[s0:s0 + step], dst[s0:s0 + step]

@@ -17,6 +17,8 @@ and how much reflects correlated user preferences.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -25,7 +27,7 @@ import numpy as np
 from .dsg import build_dsg, weight_distribution
 from .errors import EmptyTraceError
 from .metrics import MetricsReport, small_world_report
-from .trace import TimeWindow, Trace, slice_window
+from .trace import TimeWindow, Trace, _window_rows
 
 VARIANTS = ("ST1", "ST2", "ST3")
 
@@ -45,9 +47,77 @@ class ShuffleMode:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
-def _permuted(codes: np.ndarray, seed_seq: np.random.SeedSequence) -> np.ndarray:
-    # The swaps of codes[rng.permutation(len(codes))], without its int64 index array.
-    return np.random.default_rng(seed_seq).permutation(codes)
+def _streams(trace: Trace, mode: ShuffleMode) -> dict[str, tuple[np.ndarray, np.random.SeedSequence]]:
+    """The code columns a mode permutes: by column name, a fresh copy and its stream.
+
+    ST1 spawns two independent streams from the seed, one per column; ST2
+    and ST3 permute one column with the seed's own stream.
+    """
+    root = np.random.SeedSequence(mode.seed)
+    if mode.variant == "ST1":
+        user_seq, item_seq = root.spawn(2)
+        return {"user_codes": (trace.user_codes.copy(), user_seq),
+                "item_codes": (trace.item_codes.copy(), item_seq)}
+    if mode.variant == "ST2":
+        return {"user_codes": (trace.user_codes.copy(), root)}
+    return {"item_codes": (trace.item_codes.copy(), root)}
+
+
+def _shuffle(codes: np.ndarray, seed_seq: np.random.SeedSequence) -> None:
+    # In place, the swaps of rng.permutation(codes) for a 1-D array.
+    np.random.default_rng(seed_seq).shuffle(codes)
+
+
+class _Shuffler:
+    """Code columns shuffled in place on one helper thread, one request at a time.
+
+    ``submit`` hands the helper the streams of one replicate (see _streams)
+    and ``wait`` returns once the helper has shuffled them, raising unchanged
+    any exception a shuffle raised. The caller allocates every column and
+    reads one only after ``wait``; the helper does nothing but shuffle, so
+    that its allocator arena holds no blocks. ``close`` stops the helper and
+    joins it once the shuffle in flight, if any, is done.
+    """
+
+    def __init__(self):
+        self._requests, self._replies = queue.SimpleQueue(), queue.SimpleQueue()
+        self._helper = threading.Thread(target=self._serve, daemon=True)
+        self._helper.start()
+
+    def _serve(self) -> None:
+        while (streams := self._requests.get()) is not None:
+            try:
+                for codes, seed_seq in streams.values():
+                    _shuffle(codes, seed_seq)
+            except BaseException as exc:  # raised again by wait, in the caller
+                self._replies.put(exc)
+            else:
+                self._replies.put(None)
+
+    def submit(self, streams: dict[str, tuple[np.ndarray, np.random.SeedSequence]]) -> None:
+        self._requests.put(streams)
+
+    def wait(self) -> None:
+        exc = self._replies.get()
+        if exc is not None:
+            raise exc
+
+    def close(self) -> None:
+        self._requests.put(None)
+        self._helper.join()
+
+
+def _kept(codes: np.ndarray, rows: slice | np.ndarray | None) -> np.ndarray:
+    """The window's rows of a full column, in an array that does not hold the column."""
+    if rows is None:
+        return codes
+    return codes[rows].copy() if isinstance(rows, slice) else codes[rows]
+
+
+def _with_codes(trace: Trace, codes: dict[str, np.ndarray]) -> Trace:
+    """The trace with the code columns named in ``codes`` replaced."""
+    return Trace(trace.user_ids, codes.get("user_codes", trace.user_codes),
+                 trace.item_ids, codes.get("item_codes", trace.item_codes), trace.timestamps)
 
 
 def shuffle_trace(trace: Trace, mode: ShuffleMode) -> Trace:
@@ -59,19 +129,10 @@ def shuffle_trace(trace: Trace, mode: ShuffleMode) -> Trace:
     """
     if not len(trace):
         raise EmptyTraceError("cannot shuffle an empty trace")
-    users, items = trace.user_codes, trace.item_codes
-
-    root = np.random.SeedSequence(mode.seed)
-    if mode.variant == "ST1":
-        user_seq, item_seq = root.spawn(2)
-        users = _permuted(users, user_seq)
-        items = _permuted(items, item_seq)
-    elif mode.variant == "ST2":
-        users = _permuted(users, root)
-    else:  # ST3
-        items = _permuted(items, root)
-
-    return Trace(trace.user_ids, users, trace.item_ids, items, trace.timestamps)
+    streams = _streams(trace, mode)
+    for codes, seed_seq in streams.values():
+        _shuffle(codes, seed_seq)
+    return _with_codes(trace, {name: codes for name, (codes, _) in streams.items()})
 
 
 def replicate_seed(master_seed: int, replicate: int) -> int:
@@ -143,20 +204,47 @@ def null_model_comparison(
     then the window is sliced and the graph built exactly as for the real
     trace. Each (mode, replicate) pair gets a seed derived from the mode's
     seed, recorded in its row.
+
+    The next replicate's columns are shuffled on one helper thread while
+    the current graph is measured, so at most one replicate's full columns
+    are in flight. The rows are those of ``shuffle_trace`` and
+    ``slice_window`` run one replicate after another; there is no option to
+    turn the helper off. It is started only when there are replicates and
+    is joined before this returns or raises.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if not len(trace):
         raise EmptyTraceError("cannot compare an empty trace")
 
-    def windowed(t: Trace) -> Trace:
-        return slice_window(t, window) if window is not None else t
+    rows_of = None if window is None else _window_rows(trace, window)
+    real = trace if rows_of is None else trace._take(rows_of)
+    shuffles = [(mode.variant, r, replicate_seed(mode.seed, r))
+                for mode in modes for r in range(replicates)]
 
-    rows = [_row("real", 0, None, windowed(trace), threshold, sample_fraction, path_seed)]
-    for mode in modes:
-        for r in range(replicates):
-            seed = replicate_seed(mode.seed, r)
-            shuffled = shuffle_trace(trace, ShuffleMode(mode.variant, seed))
-            rows.append(_row(mode.variant, r, seed, windowed(shuffled), threshold,
-                             sample_fraction, path_seed))
+    def measured(source: str, replicate: int, seed: int | None, t: Trace) -> NullModelRow:
+        return _row(source, replicate, seed, t, threshold, sample_fraction, path_seed)
+
+    if not shuffles:
+        return NullModelComparison(rows=(measured("real", 0, None, real),))
+
+    def requested(k: int) -> dict[str, tuple[np.ndarray, np.random.SeedSequence]]:
+        variant, _, seed = shuffles[k]
+        streams = _streams(trace, ShuffleMode(variant, seed))
+        shuffler.submit(streams)
+        return streams
+
+    shuffler = _Shuffler()
+    try:
+        streams = requested(0)
+        rows = [measured("real", 0, None, real)]
+        for k, (variant, r, seed) in enumerate(shuffles):
+            shuffler.wait()
+            codes = {name: _kept(column, rows_of) for name, (column, _) in streams.items()}
+            del streams  # a window's full columns go before the next replicate's are copied
+            if k + 1 < len(shuffles):
+                streams = requested(k + 1)
+            rows.append(measured(variant, r, seed, _with_codes(real, codes)))
+    finally:
+        shuffler.close()
     return NullModelComparison(rows=tuple(rows))

@@ -1,4 +1,5 @@
 import hashlib
+import threading
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from sharegraph import (
     EmptyTraceError,
     ShuffleMode,
+    TimeWindow,
+    Trace,
     TraceRecord,
     build_dsg,
     generate_clustered_trace,
@@ -16,9 +19,12 @@ from sharegraph import (
     null_model_comparison,
     render_trace,
     shuffle_trace,
+    slice_window,
     weight_distribution,
 )
-from sharegraph.shuffle import replicate_seed
+from sharegraph import shuffle as shuffle_module
+from sharegraph.pipeline import NULLMODEL_COLUMNS, nullmodel_rows, render_csv
+from sharegraph.shuffle import NullModelComparison, replicate_seed
 from helpers import edge_weights, make_trace, random_trace, trace_of
 
 
@@ -221,3 +227,122 @@ def test_uniform_trace_statistically_indistinguishable_from_shuffles():
     mean = summary["ST1"]["ratio_cc_mean"]
     band = max(2 * summary["ST1"]["ratio_cc_std"], 0.2 * mean)
     assert abs(real - mean) <= band
+
+
+# --- the next replicate shuffled on a helper thread ---
+
+def serial_comparison(trace, window, threshold, modes, replicates):
+    """The rows of shuffle_trace and slice_window, one replicate after another."""
+    def row(source, replicate, seed, t):
+        t = t if window is None else slice_window(t, window)
+        return shuffle_module._row(source, replicate, seed, t, threshold, None, 0)
+
+    rows = [row("real", 0, None, trace)]
+    for mode in modes:
+        for r in range(replicates):
+            seed = replicate_seed(mode.seed, r)
+            rows.append(row(mode.variant, r, seed,
+                            shuffle_trace(trace, ShuffleMode(mode.variant, seed))))
+    return NullModelComparison(rows=tuple(rows))
+
+
+def rendered(comparison):
+    return render_csv(NULLMODEL_COLUMNS, nullmodel_rows(comparison))
+
+
+def unsorted(trace, seed):
+    order = np.random.default_rng(seed).permutation(len(trace))
+    return Trace(trace.user_ids, trace.user_codes[order], trace.item_ids,
+                 trace.item_codes[order], trace.timestamps[order])
+
+
+OVERLAP_MODES = [ShuffleMode("ST1", 1), ShuffleMode("ST3", 2), ShuffleMode("ST1", 1)]
+
+
+@pytest.mark.parametrize("case", ["no window", "sorted window", "unsorted window"])
+def test_overlapped_rows_equal_the_serial_oracle(case):
+    trace = generate_synthetic_trace(40, 60, 3000, "zipf", seed=21, span_seconds=10_000)
+    window = None if case == "no window" else TimeWindow(2_000, 6_000)
+    if case == "unsorted window":
+        trace = unsorted(trace, 5)
+        assert not trace.time_sorted
+    got = null_model_comparison(trace, window, 1, OVERLAP_MODES, replicates=3)
+    want = serial_comparison(trace, window, 1, OVERLAP_MODES, replicates=3)
+    assert len(got.rows) == 1 + 3 * 3
+    assert rendered(got) == rendered(want)
+
+
+def test_next_replicate_is_shuffled_off_the_main_thread_while_one_is_measured(monkeypatch):
+    # Each row waits until the first shuffle of the next replicate has
+    # started, so it records whether that replicate was already requested.
+    trace = generate_synthetic_trace(20, 30, 500, seed=3)
+    modes = [ShuffleMode("ST1", 4), ShuffleMode("ST2", 5), ShuffleMode("ST1", 4)]
+    replicates = 2
+    per_replicate = [2 if m.variant == "ST1" else 1 for m in modes for _ in range(replicates)]
+    changed = threading.Condition()
+    shuffles = []  # the thread of each shuffle, in the order they started
+    ahead = []  # for each row but the last, whether the next replicate was requested
+
+    real_shuffle, real_row = shuffle_module._shuffle, shuffle_module._row
+
+    def shuffle(codes, seed_seq):
+        with changed:
+            shuffles.append(threading.current_thread())
+            changed.notify_all()
+        real_shuffle(codes, seed_seq)
+
+    def row(*args):
+        k = len(ahead)
+        if k < len(per_replicate):
+            needed = sum(per_replicate[:k]) + 1
+            with changed:
+                ahead.append(changed.wait_for(lambda: len(shuffles) >= needed, timeout=5))
+        else:
+            ahead.append(None)
+        return real_row(*args)
+
+    monkeypatch.setattr(shuffle_module, "_shuffle", shuffle)
+    monkeypatch.setattr(shuffle_module, "_row", row)
+    got = null_model_comparison(trace, None, 1, modes, replicates=replicates)
+    monkeypatch.undo()
+
+    assert ahead == [True] * len(per_replicate) + [None]
+    assert len(shuffles) == sum(per_replicate)
+    assert threading.main_thread() not in shuffles
+    assert rendered(got) == rendered(serial_comparison(trace, None, 1, modes, replicates))
+
+
+class Refused(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["row", "shuffle"])
+def test_an_exception_reaches_the_caller_and_no_thread_is_left(monkeypatch, where):
+    trace = generate_synthetic_trace(20, 30, 500, seed=3)
+    refused = Refused(where)
+    calls = []
+    real = getattr(shuffle_module, f"_{where}")
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise refused
+        return real(*args)
+
+    monkeypatch.setattr(shuffle_module, f"_{where}", failing)
+    threads = threading.enumerate()
+    with pytest.raises(Refused) as raised:
+        null_model_comparison(trace, TimeWindow(0, 40_000), 1,
+                              [ShuffleMode("ST2", 1), ShuffleMode("ST3", 2)], replicates=2)
+    assert raised.value is refused
+    assert threading.enumerate() == threads
+
+
+def test_no_modes_start_no_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started with no replicates to shuffle")
+
+    trace = generate_synthetic_trace(20, 30, 500, seed=3)
+    monkeypatch.setattr(threading, "Thread", refuse)
+    got = null_model_comparison(trace, None, 1, [], replicates=3)
+    assert [r.source for r in got.rows] == ["real"]
