@@ -17,8 +17,6 @@ and how much reflects correlated user preferences.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,7 +25,7 @@ import numpy as np
 from .dsg import build_dsg, weight_distribution
 from .errors import EmptyTraceError
 from .metrics import MetricsReport, small_world_report
-from .trace import TimeWindow, Trace, _window_rows
+from .trace import TimeWindow, Trace, _Helper, _window_rows
 
 VARIANTS = ("ST1", "ST2", "ST3")
 
@@ -68,43 +66,10 @@ def _shuffle(codes: np.ndarray, seed_seq: np.random.SeedSequence) -> None:
     np.random.default_rng(seed_seq).shuffle(codes)
 
 
-class _Shuffler:
-    """Code columns shuffled in place on one helper thread, one request at a time.
-
-    ``submit`` hands the helper the streams of one replicate (see _streams)
-    and ``wait`` returns once the helper has shuffled them, raising unchanged
-    any exception a shuffle raised. The caller allocates every column and
-    reads one only after ``wait``; the helper does nothing but shuffle, so
-    that its allocator arena holds no blocks. ``close`` stops the helper and
-    joins it once the shuffle in flight, if any, is done.
-    """
-
-    def __init__(self):
-        self._requests, self._replies = queue.SimpleQueue(), queue.SimpleQueue()
-        self._helper = threading.Thread(target=self._serve, daemon=True)
-        self._helper.start()
-
-    def _serve(self) -> None:
-        while (streams := self._requests.get()) is not None:
-            try:
-                for codes, seed_seq in streams.values():
-                    _shuffle(codes, seed_seq)
-            except BaseException as exc:  # raised again by wait, in the caller
-                self._replies.put(exc)
-            else:
-                self._replies.put(None)
-
-    def submit(self, streams: dict[str, tuple[np.ndarray, np.random.SeedSequence]]) -> None:
-        self._requests.put(streams)
-
-    def wait(self) -> None:
-        exc = self._replies.get()
-        if exc is not None:
-            raise exc
-
-    def close(self) -> None:
-        self._requests.put(None)
-        self._helper.join()
+def _shuffle_all(streams: dict[str, tuple[np.ndarray, np.random.SeedSequence]]) -> None:
+    """Shuffle each column of ``_streams``'s output in place with its own stream."""
+    for codes, seed_seq in streams.values():
+        _shuffle(codes, seed_seq)
 
 
 def _kept(codes: np.ndarray, rows: slice | np.ndarray | None) -> np.ndarray:
@@ -130,8 +95,7 @@ def shuffle_trace(trace: Trace, mode: ShuffleMode) -> Trace:
     if not len(trace):
         raise EmptyTraceError("cannot shuffle an empty trace")
     streams = _streams(trace, mode)
-    for codes, seed_seq in streams.values():
-        _shuffle(codes, seed_seq)
+    _shuffle_all(streams)
     return _with_codes(trace, {name: codes for name, (codes, _) in streams.items()})
 
 
@@ -205,12 +169,16 @@ def null_model_comparison(
     trace. Each (mode, replicate) pair gets a seed derived from the mode's
     seed, recorded in its row.
 
-    The next replicate's columns are shuffled on one helper thread while
-    the current graph is measured, so at most one replicate's full columns
-    are in flight. The rows are those of ``shuffle_trace`` and
-    ``slice_window`` run one replicate after another; there is no option to
-    turn the helper off. It is started only when there are replicates and
-    is joined before this returns or raises.
+    The next replicate's columns are shuffled on one helper thread (see
+    trace._Helper, which also reads gzip input ahead) while the current
+    graph is measured, so at most one replicate's full columns are in
+    flight. The calling thread copies every column and the helper only
+    shuffles the copies in place, so that its allocator arena holds no
+    blocks. The rows are those of ``shuffle_trace`` and ``slice_window`` run
+    one replicate after another; there is no option to turn the helper off.
+    It is started only when there are replicates. It is joined before this
+    returns or raises an ``Exception``, once the shuffle in flight is done;
+    an interrupt is raised without waiting for that shuffle.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
@@ -231,20 +199,17 @@ def null_model_comparison(
     def requested(k: int) -> dict[str, tuple[np.ndarray, np.random.SeedSequence]]:
         variant, _, seed = shuffles[k]
         streams = _streams(trace, ShuffleMode(variant, seed))
-        shuffler.submit(streams)
+        helper.submit(_shuffle_all, streams)
         return streams
 
-    shuffler = _Shuffler()
-    try:
+    with _Helper() as helper:
         streams = requested(0)
         rows = [measured("real", 0, None, real)]
         for k, (variant, r, seed) in enumerate(shuffles):
-            shuffler.wait()
+            helper.result()
             codes = {name: _kept(column, rows_of) for name, (column, _) in streams.items()}
             del streams  # a window's full columns go before the next replicate's are copied
             if k + 1 < len(shuffles):
                 streams = requested(k + 1)
             rows.append(measured(variant, r, seed, _with_codes(real, codes)))
-    finally:
-        shuffler.close()
     return NullModelComparison(rows=tuple(rows))

@@ -11,19 +11,19 @@ newlines (the format could not carry them back out).
 
 The parse reads its input in blocks of whole lines. Plain input is read on
 the calling thread. Gzip input is inflated one read ahead on a helper
-thread (see _ReadAhead), which zlib lets run while the caller converts the
-block before. The helper never outlives the parse, except that an
-interrupt while it waits on a stalled pipe is raised at once and leaves it
-in that read (see parse_trace). A regular block, one
-where every line is ``user,item,digits`` with ids of 1 to 8 bytes (see
-_regular_block), is converted by whole numpy columns, a word at a time:
-each id is one unaligned 8-byte load, a key whose order is the ids' ``str``
-order, and each timestamp one to three words converted by SWAR arithmetic.
-Ids are interned by key and decoded to ``str`` in bulk (see _IdTable).
-Every other block, one with a longer id included, goes through the line
-loop, which decodes each line on its own and is the one definition of a
-valid line; the vectorized route takes only blocks that the loop would
-accept unchanged, so both give the same trace.
+thread (see _Helper, which the null model's shuffles use too), and zlib
+lets it run while the caller converts the block before. The helper never
+outlives the parse, except that an interrupt while it waits on a stalled
+pipe is raised at once and leaves it in that read (see parse_trace). A
+regular block, one where every line is ``user,item,digits`` with ids of 1
+to 8 bytes (see _regular_block), is converted by whole numpy columns, a
+word at a time: each id is one unaligned 8-byte load, a key whose order is
+the ids' ``str`` order, and each timestamp one to three words converted by
+SWAR arithmetic. Ids are interned by key and decoded to ``str`` in bulk
+(see _IdTable). Every other block, one with a longer id included, goes
+through the line loop, which decodes each line on its own and is the one
+definition of a valid line; the vectorized route takes only blocks that
+the loop would accept unchanged, so both give the same trace.
 
 In memory a trace is columnar: int32 user and item codes into id tables
 sorted in ``str`` order, and int64 timestamps. Code order is therefore id
@@ -32,6 +32,7 @@ order, and a window is an index range that shares its trace's tables.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import io
 import queue
@@ -39,7 +40,7 @@ import threading
 import zlib
 from array import array
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -260,53 +261,70 @@ class _Prefixed:
         return head
 
 
-class _ReadAhead:
-    """``stream.read(READ_BLOCK)`` made on a helper thread, one read ahead.
+class _Helper:
+    """Calls made one at a time on a helper thread while the caller works.
 
-    The helper makes the first read as soon as it starts. Each call to
-    ``read`` takes the block the helper read, asks for the next one unless
-    that block is the last (``b""``), and returns it, so the helper reads
-    while the caller works on what it got. An exception raised by a read is
-    raised by ``read`` unchanged.
+    ``submit(fn, *args)`` hands the helper one call, and ``result()`` returns
+    what that call returned or raises unchanged the exception it raised;
+    each ``submit`` is followed by one ``result``. The helper is a daemon
+    thread, started by ``with``.
 
-    ``close`` stops the helper. It joins it when no read is in flight,
-    which is so once ``read`` has returned ``b""`` or raised. A caller that
-    closes it for an exception of its own, an interrupt say, leaves a read
-    in flight and does not wait for it: a read of a stalled pipe could take
-    for ever. The helper is a daemon thread and ends when that read
-    returns, and it does not hold up the interpreter's exit.
+    Leaving the ``with`` block stops the helper, and this is the one join
+    rule. Left normally or on an ``Exception``, the block joins the helper
+    once the call in flight, if any, is done. Left on any other
+    ``BaseException`` (an interrupt, ``SystemExit``, or the
+    ``GeneratorExit`` that closes a generator), it does not wait for that
+    call, which may be a read of a stalled pipe: the helper ends when the
+    call returns, and it does not hold up the interpreter's exit.
     """
 
-    def __init__(self, stream: BinaryIO):
-        self._requests, self._replies = queue.SimpleQueue(), queue.SimpleQueue()
-        self._in_flight = True
-        self._requests.put(True)
-        self._helper = threading.Thread(target=self._serve, args=(stream,), daemon=True)
-        self._helper.start()
+    def __enter__(self) -> "_Helper":
+        self._calls, self._replies = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+        return self
 
-    def _serve(self, stream: BinaryIO) -> None:
-        while self._requests.get():
+    def _serve(self) -> None:
+        while (call := self._calls.get()) is not None:
             try:
-                self._replies.put((stream.read(READ_BLOCK), None))
-            except BaseException as exc:  # raised again by read, in the caller
-                self._replies.put((b"", exc))
+                reply = call(), None
+            except BaseException as exc:  # raised again by result, in the caller
+                reply = None, exc
+            # What the call was given is freed before the caller gets its
+            # reply, and the reply is not held while the helper waits.
+            del call
+            self._replies.put(reply)
+            del reply
 
-    def read(self) -> bytes:
-        block, exc = self._replies.get()
-        self._in_flight = False
+    def submit(self, fn: Callable, *args) -> None:
+        self._calls.put(functools.partial(fn, *args))
+
+    def result(self):
+        value, exc = self._replies.get()
         if exc is not None:
             raise exc
-        if block:
-            # Marked first: an interrupt between the two lines may then skip
-            # a join that would not have waited, but never waits on a read.
-            self._in_flight = True
-            self._requests.put(True)
-        return block
+        return value
 
-    def close(self) -> None:
-        self._requests.put(False)
-        if not self._in_flight:
-            self._helper.join()
+    def __exit__(self, kind, exc, traceback) -> None:
+        self._calls.put(None)
+        if kind is None or issubclass(kind, Exception):
+            self._thread.join()
+
+
+def _read_ahead(stream: BinaryIO) -> Iterator[bytes]:
+    """``stream.read(READ_BLOCK)`` up to ``b""``, each read made on a helper one ahead.
+
+    The next read is submitted before a block is yielded, so the helper
+    reads while the caller works on the block. The helper is joined before
+    the last read's ``b""`` ends the iteration or a read's error is raised;
+    closing the generator mid-way does not wait for the read in flight
+    (see _Helper).
+    """
+    with _Helper() as helper:
+        helper.submit(stream.read, READ_BLOCK)
+        while block := helper.result():
+            helper.submit(stream.read, READ_BLOCK)
+            yield block
 
 
 def _blocks(stream: BinaryIO, ahead: bool) -> Iterator[bytes]:
@@ -317,14 +335,13 @@ def _blocks(stream: BinaryIO, ahead: bool) -> Iterator[bytes]:
     follows the last ``\\n``, if anything does. The unfinished line is kept
     as the pieces read so far and only each new read is searched, so a line
     of any length costs time linear in its length. With ``ahead`` the reads
-    are made on a helper thread (see _ReadAhead), stopped before the last
+    are made on a helper thread (see _read_ahead), joined before the last
     block is yielded or an error is raised.
     """
-    reader = _ReadAhead(stream) if ahead else None
-    read = reader.read if ahead else lambda: stream.read(READ_BLOCK)
+    reads = _read_ahead(stream) if ahead else iter(lambda: stream.read(READ_BLOCK), b"")
     pieces = []
     try:
-        for block in iter(read, b""):
+        for block in reads:
             cut = block.rfind(b"\n") + 1
             if not cut:
                 pieces.append(block)
@@ -334,9 +351,6 @@ def _blocks(stream: BinaryIO, ahead: bool) -> Iterator[bytes]:
             pieces = [block[cut:]]
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise TraceParseError(f"corrupt gzip input: {exc}") from exc
-    finally:
-        if ahead:
-            reader.close()
     tail = b"".join(pieces)
     if tail:
         yield tail
@@ -555,14 +569,14 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
     line numbers. Ids are interned as they are read, so no per-record
     object is made.
 
-    Plain input is read on the calling thread. Gzip input is inflated one
-    read ahead on a helper thread, so that inflating a block overlaps
-    converting the one before. The helper never outlives the call: it is
-    joined before the call returns or raises, but for one case. An
-    interrupt that arrives while the helper waits on a stalled pipe is
-    raised at once, without waiting for that read; the helper, a daemon
-    thread, ends when the read returns and does not delay the
-    interpreter's exit. Closing a buffered file (``io.BufferedReader``)
+    Plain input is read on the calling thread and starts no thread. Gzip
+    input is inflated one read ahead on a helper thread (see _Helper), so
+    that inflating a block overlaps converting the one before. The helper
+    never outlives the call: it is joined before the call returns or
+    raises, but for one case. An interrupt that arrives while the helper
+    waits on a stalled pipe is raised at once, without waiting for that
+    read; the helper, a daemon thread, ends when the read returns and does
+    not delay the interpreter's exit. Closing a buffered file (``io.BufferedReader``)
     waits for a read in progress, so ``load_trace`` and the command line
     open their file unbuffered.
 
@@ -657,7 +671,7 @@ def load_trace(path, *, sort: bool = False) -> ParseResult:
 
     The file is opened unbuffered: closing a buffered file waits for a read
     in progress, and after an interrupt on gzip input the parse's helper
-    may still be reading a stalled pipe (see parse_trace).
+    thread may still be reading a stalled pipe (see _Helper's join rule).
     """
     with open(path, "rb", buffering=0) as fh:
         return parse_trace(fh, sort=sort)

@@ -1,5 +1,6 @@
 import hashlib
 import threading
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -312,12 +313,33 @@ def test_next_replicate_is_shuffled_off_the_main_thread_while_one_is_measured(mo
     assert rendered(got) == rendered(serial_comparison(trace, None, 1, modes, replicates))
 
 
+def test_a_replicates_full_columns_are_freed_before_the_next_is_copied(monkeypatch):
+    trace = generate_synthetic_trace(20, 30, 500, seed=3)
+    columns, alive = [], []  # weak references; full columns alive at each copy
+    real_streams = shuffle_module._streams
+
+    def streams(*args):
+        alive.append(sum(ref() is not None for ref in columns))
+        copied = real_streams(*args)
+        columns.extend(weakref.ref(codes) for codes, _ in copied.values())
+        return copied
+
+    monkeypatch.setattr(shuffle_module, "_streams", streams)
+    null_model_comparison(trace, TimeWindow(0, 40_000), 1, [ShuffleMode("ST1", 1)], replicates=3)
+    assert alive == [0, 0, 0]
+
+
 class Refused(Exception):
     pass
 
 
-@pytest.mark.parametrize("where", ["row", "shuffle"])
-def test_an_exception_reaches_the_caller_and_no_thread_is_left(monkeypatch, where):
+@pytest.mark.parametrize("where, at", [
+    pytest.param("row", 3, id="row"),
+    pytest.param("shuffle", 3, id="shuffle"),
+    # The real window is measured while replicate 1's shuffle is in flight.
+    pytest.param("row", 1, id="first-row"),
+])
+def test_an_exception_reaches_the_caller_and_no_thread_is_left(monkeypatch, where, at):
     trace = generate_synthetic_trace(20, 30, 500, seed=3)
     refused = Refused(where)
     calls = []
@@ -325,7 +347,7 @@ def test_an_exception_reaches_the_caller_and_no_thread_is_left(monkeypatch, wher
 
     def failing(*args):
         calls.append(args)
-        if len(calls) == 3:
+        if len(calls) == at:
             raise refused
         return real(*args)
 

@@ -253,6 +253,78 @@ def test_read_error_partway_is_raised_unchanged(monkeypatch, compress):
     assert threading.active_count() == threads
 
 
+def test_plain_input_starts_no_thread(monkeypatch, tmp_path):
+    # Only gzip input is read ahead on a helper thread.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    path = tmp_path / "trace.csv"
+    path.write_text(SIX_RECORD_CSV)
+    monkeypatch.setattr(threading, "Thread", refuse)
+    assert len(parse_trace(SIX_RECORD_CSV.encode()).trace) == 6
+    assert len(load_trace(path).trace) == 6
+    with pytest.raises(AssertionError, match="a thread was started"):
+        parse_trace(gzip.compress(SIX_RECORD_CSV.encode()))
+
+
+# --- the helper thread ---
+
+def test_helper_result_raises_the_calls_exception_unchanged():
+    error = OSError(errno.EIO, "Input/output error")
+
+    def fail():
+        raise error
+
+    with trace_module._Helper() as helper:
+        helper.submit(fail)
+        with pytest.raises(OSError) as raised:
+            helper.result()
+        helper.submit(int, "7")
+        assert helper.result() == 7
+    assert raised.value is error
+
+
+def test_helper_left_on_an_exception_waits_for_the_call_in_flight():
+    started, finished = threading.Event(), []
+
+    def slow():
+        started.set()
+        time.sleep(0.2)
+        finished.append(True)
+
+    threads = threading.enumerate()
+    with pytest.raises(ValueError):
+        with trace_module._Helper() as helper:
+            helper.submit(slow)
+            assert started.wait(timeout=5)
+            raise ValueError
+    assert finished == [True]
+    assert threading.enumerate() == threads
+
+
+def test_helper_left_on_an_interrupt_does_not_wait_for_the_call_in_flight():
+    # The call in flight may be a read of a stalled pipe.
+    started, release = threading.Event(), threading.Event()
+
+    def blocked():
+        started.set()
+        release.wait(timeout=5)
+
+    threads = set(threading.enumerate())
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            with trace_module._Helper() as helper:
+                helper.submit(blocked)
+                assert started.wait(timeout=5)
+                raise KeyboardInterrupt
+        (thread,) = set(threading.enumerate()) - threads
+        assert thread.is_alive()
+    finally:
+        release.set()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
 # --- the vectorized route for regular blocks ---
 
 def test_regular_block_converts_fields():
