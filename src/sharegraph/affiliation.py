@@ -23,7 +23,7 @@ contributed by correlated user preferences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -169,9 +169,8 @@ def compare_window(
         measured_cc = math.nan
         flags.append("empty_projection")
 
-    prediction = AffiliationPrediction(
-        avg_degree_theory=theory.avg_degree_theory,
-        clustering_theory=theory.clustering_theory,
+    prediction = replace(
+        theory,
         avg_degree_measured=measured_degree,
         avg_degree_measured_all_users=2 * e / bipartite.user_count,
         clustering_measured=measured_cc,

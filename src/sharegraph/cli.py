@@ -260,29 +260,21 @@ def cmd_nullmodel(args, trace: Trace) -> Outputs:
     }
 
 
+# Each generator's options, named as its keyword arguments; they are also the
+# manifest parameters.
+_SYNTH_OPTIONS = {
+    False: (generate_synthetic_trace,
+            ("users", "items", "requests", "popularity", "zipf_exponent")),
+    True: (generate_clustered_trace,
+           ("groups", "users_per_group", "pool_size", "requests_per_user", "bridge_requests")),
+}
+
+
 def cmd_synth(args, _trace: None) -> Outputs:
-    if args.clustered:
-        trace = generate_clustered_trace(
-            groups=args.groups, users_per_group=args.users_per_group,
-            pool_size=args.pool_size, requests_per_user=args.requests_per_user,
-            bridge_requests=args.bridge_requests, seed=args.seed, span_seconds=args.span,
-        )
-        params = {
-            "clustered": True, "groups": args.groups,
-            "users_per_group": args.users_per_group, "pool_size": args.pool_size,
-            "requests_per_user": args.requests_per_user,
-            "bridge_requests": args.bridge_requests, "span": args.span,
-        }
-    else:
-        trace = generate_synthetic_trace(
-            args.users, args.items, args.requests, args.popularity,
-            zipf_exponent=args.zipf_exponent, seed=args.seed, span_seconds=args.span,
-        )
-        params = {
-            "clustered": False, "users": args.users, "items": args.items,
-            "requests": args.requests, "popularity": args.popularity,
-            "zipf_exponent": args.zipf_exponent, "span": args.span,
-        }
+    generate, names = _SYNTH_OPTIONS[args.clustered]
+    options = {name: getattr(args, name) for name in names}
+    trace = generate(**options, seed=args.seed, span_seconds=args.span)
+    params = {"clustered": args.clustered, **options, "span": args.span}
     return {"trace.csv": render_trace(trace)}, params
 
 

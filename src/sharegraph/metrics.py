@@ -309,30 +309,21 @@ def small_world_report(g: Graph, *, sample_fraction: float | None = None,
     flags: list[str] = []
 
     component_count, largest = g.largest_component()
-    if component_count == 0:
-        return MetricsReport(
-            node_count=0, edge_count=0, component_count=0,
-            largest_component_nodes=0, largest_component_edges=0,
-            cc1=math.nan, cc2=math.nan, avg_path_length=math.nan,
-            cc_random=math.nan, l_random=math.nan,
-            ratio_cc=math.nan, ratio_l=math.nan,
-            path_length_method=method, flags=("empty_graph",),
-        )
-
     lv, le = largest.node_count, largest.edge_count
-
-    cc1, cc2, _ = clustering(largest)
-    if math.isnan(cc2):
-        flags.append("cc2_no_triples")
-
-    if lv >= 2:
-        avg_l = average_path_length(largest, sample_fraction=sample_fraction, seed=seed)
-        cc_random, l_random = random_baselines(lv, le)
-        if math.isnan(l_random):
-            flags.append("l_random_unstable")
+    cc1 = cc2 = avg_l = cc_random = l_random = math.nan
+    if component_count == 0:
+        flags.append("empty_graph")
     else:
-        avg_l = cc_random = l_random = math.nan
-        flags.append("single_node_component")
+        cc1, cc2, _ = clustering(largest)
+        if math.isnan(cc2):
+            flags.append("cc2_no_triples")
+        if lv < 2:
+            flags.append("single_node_component")
+        else:
+            avg_l = average_path_length(largest, sample_fraction=sample_fraction, seed=seed)
+            cc_random, l_random = random_baselines(lv, le)
+            if math.isnan(l_random):
+                flags.append("l_random_unstable")
 
     return MetricsReport(
         node_count=g.node_count,

@@ -130,14 +130,12 @@ class NullModelComparison:
             by_source.setdefault(row.source, []).append(row)
         out = {}
         for source, rows in by_source.items():
-            rc = np.array([r.report.ratio_cc for r in rows], dtype=float)
-            rl = np.array([r.report.ratio_l for r in rows], dtype=float)
-            out[source] = {
-                "ratio_cc_mean": float(np.nanmean(rc)) if not np.all(np.isnan(rc)) else math.nan,
-                "ratio_cc_std": float(np.nanstd(rc)) if not np.all(np.isnan(rc)) else math.nan,
-                "ratio_l_mean": float(np.nanmean(rl)) if not np.all(np.isnan(rl)) else math.nan,
-                "ratio_l_std": float(np.nanstd(rl)) if not np.all(np.isnan(rl)) else math.nan,
-            }
+            out[source] = stats = {}
+            for ratio in ("ratio_cc", "ratio_l"):
+                values = np.array([getattr(r.report, ratio) for r in rows], dtype=float)
+                undefined = np.all(np.isnan(values))
+                stats[f"{ratio}_mean"] = math.nan if undefined else float(np.nanmean(values))
+                stats[f"{ratio}_std"] = math.nan if undefined else float(np.nanstd(values))
         return out
 
 

@@ -474,17 +474,6 @@ def _eight_digits(word: np.ndarray) -> np.ndarray:
     return ((word & _PAIRS) * _BY_100 + ((word >> 16) & _PAIRS) * _BY_1) >> 32
 
 
-def _merge(known: np.ndarray, at: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """``known`` with ``new[j]`` inserted before ``known[at[j]]``; ``at`` is sorted."""
-    merged = np.empty(len(known) + len(new), dtype=known.dtype)
-    slots = at + np.arange(len(new))
-    merged[slots] = new
-    rest = np.ones(len(merged), dtype=bool)
-    rest[slots] = False
-    merged[rest] = known
-    return merged
-
-
 class _IdTable:
     """One column's ids, coded in order of first sight.
 
@@ -530,8 +519,8 @@ class _IdTable:
                 codes[new] = np.arange(len(known), len(known) + len(new_keys))
             else:
                 codes[new] = [table.setdefault(name, len(table)) for name in _decoded(new_keys)]
-            self.keys = _merge(known, at[new], new_keys)
-            self.key_codes = _merge(self.key_codes, at[new], codes[new])
+            self.keys = np.insert(known, at[new], new_keys)
+            self.key_codes = np.insert(self.key_codes, at[new], codes[new])
         return codes[inverse.ravel()]
 
     def sorted_codes(self, codes) -> tuple[tuple[str, ...], np.ndarray]:

@@ -6,6 +6,7 @@ import gzip
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -67,6 +68,40 @@ def test_summary_golden_row(fixture_trace, tmp_path):
         "prng": "PCG64", "numpy_version": np.__version__,
         "schemas": pipeline.SCHEMA_VERSIONS,
     }
+
+
+@pytest.mark.parametrize("argv, parameters", [
+    (["synth", "--users", "7", "--items", "9", "--requests", "30", "--popularity", "zipf",
+      "--zipf-exponent", "1.5", "--span", "60"],
+     {"clustered": False, "users": 7, "items": 9, "requests": 30, "popularity": "zipf",
+      "zipf_exponent": 1.5, "span": 60}),
+    (["synth", "--clustered", "--groups", "4", "--users-per-group", "3", "--pool-size", "5",
+      "--requests-per-user", "6", "--bridge-requests", "2"],
+     {"clustered": True, "groups": 4, "users_per_group": 3, "pool_size": 5,
+      "requests_per_user": 6, "bridge_requests": 2, "span": 86400}),
+    (["sweep", "TRACE", "--lengths", "3,6", "--thresholds", "1,2"],
+     {"lengths": [3, 6], "thresholds": [1, 2], "origin": None, "system": "trace",
+      "path_mode": "exact", "path_fraction": 0.05}),
+    (["sweep", "TRACE", "--lengths", "3", "--thresholds", "2", "--origin", "0",
+      "--system", "six", "--path-mode", "sampled", "--path-fraction", "0.5"],
+     {"lengths": [3], "thresholds": [2], "origin": 0, "system": "six",
+      "path_mode": "sampled", "path_fraction": 0.5}),
+    (["distributions", "TRACE", "--window-start", "0", "--window-length", "4",
+      "--threshold", "2"],
+     {"window_start": 0, "window_length": 4, "threshold": 2}),
+    (["affiliation", "TRACE"], {"window_start": None, "window_length": None}),
+    (["nullmodel", "TRACE", "--modes", "ST2, ST1", "--replicates", "2",
+      "--window-length", "5"],
+     {"window_start": None, "window_length": 5, "threshold": 1, "modes": ["ST2", "ST1"],
+      "replicates": 2, "path_mode": "exact", "path_fraction": 0.05}),
+], ids=["synth", "synth-clustered", "sweep", "sweep-sampled", "distributions",
+        "affiliation", "nullmodel"])
+def test_manifest_parameters_of_every_verb(fixture_trace, tmp_path, argv, parameters):
+    argv = [str(fixture_trace) if arg == "TRACE" else arg for arg in argv]
+    assert main(argv + ["--seed", "3", "-o", str(tmp_path / "out")]) == 0
+    manifest = json.loads(read(tmp_path / "out" / "manifest.json"))
+    assert manifest["parameters"] == parameters
+    assert manifest["master_seed"] == 3
 
 
 def test_summary_gz_equivalent(fixture_trace, tmp_path):
@@ -211,18 +246,32 @@ _trace_bytes = st.one_of(
 )
 
 
-@given(_trace_bytes, st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_summary_on_arbitrary_bytes_exits_cleanly(data, wrap_in_gzip):
+def _exits_cleanly(verb, data, wrap_in_gzip):
     """Any input bytes, plain or gzip-wrapped, end in a documented exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         path.write_bytes(gzip.compress(data) if wrap_in_gzip else data)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["summary", str(path), "-o", str(Path(tmp) / "out")])
+            code = main([verb, str(path), "-o", str(Path(tmp) / "out")])
     assert code in {0, EXIT_PARSE, EXIT_PRECONDITION, EXIT_IO}
     assert "Traceback" not in err.getvalue()
+
+
+@given(_trace_bytes, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_summary_on_arbitrary_bytes_exits_cleanly(data, wrap_in_gzip):
+    _exits_cleanly("summary", data, wrap_in_gzip)
+
+
+# sweep is left out: its cost grows with the input's time span, and one
+# timestamp near 2**63 makes the span, and the windows to measure, too many.
+@pytest.mark.parametrize("verb", ["distributions", "affiliation", "nullmodel"])
+@given(data=_trace_bytes, wrap_in_gzip=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_reading_verbs_on_arbitrary_bytes_exit_cleanly(verb, data, wrap_in_gzip):
+    _exits_cleanly(verb, data, wrap_in_gzip)
+
 
 def test_missing_file_io_exit(tmp_path):
     missing = tmp_path / "nope.csv"
@@ -313,6 +362,27 @@ def test_sweep_workers_fork_after_a_gzip_load(tmp_path, monkeypatch):
     spec = pipeline.SweepSpec(window_lengths=(3600, 7200), thresholds=(1, 5), origin=0)
     pooled = pipeline.run_sweep(trace, spec, workers=2)
     assert threads_at_fork == [threads, threads]  # fork, Linux's start method
+    assert (render_csv(METRICS_COLUMNS, metrics_rows("web", pooled))
+            == render_csv(METRICS_COLUMNS, metrics_rows("web", pipeline.run_sweep(trace, spec))))
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_sweep_workers_give_the_same_output_under_every_start_method(tmp_path, monkeypatch,
+                                                                      method):
+    # Python 3.14 makes forkserver Linux's default start method; a worker
+    # must not rely on state that only a forked child inherits.
+    trace = load_trace(make_web_like_trace(tmp_path), sort=True).trace
+    spec = pipeline.SweepSpec(window_lengths=(3600, 7200), thresholds=(1, 5), origin=0)
+    started = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers, mp_context=multiprocessing.get_context(method))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    pooled = pipeline.run_sweep(trace, spec, workers=2)
+    assert started == [2]
     assert (render_csv(METRICS_COLUMNS, metrics_rows("web", pooled))
             == render_csv(METRICS_COLUMNS, metrics_rows("web", pipeline.run_sweep(trace, spec))))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from sharegraph import (
     DisconnectedGraphError,
+    MetricsReport,
     average_path_length,
     build_dsg,
     clustering,
@@ -303,11 +305,23 @@ def test_report_on_matched_random_graph_is_not_small_world():
     assert 0.5 <= report.ratio_cc <= 2.0
 
 
+_METHODS = ((None, "exact"), (0.5, "sampled(fraction=0.5,seed=4)"))
+
+
+def _fields(report: MetricsReport) -> dict:
+    """Every field of a report; repr() makes NaN equal NaN, and 0.0 unequal 0."""
+    return {name: repr(value) for name, value in dataclasses.asdict(report).items()}
+
+
 def test_report_empty_graph_flagged():
-    report = small_world_report(graph([]))
-    assert report.flags == ("empty_graph",)
-    assert report.node_count == 0
-    assert math.isnan(report.cc1)
+    nan = math.nan
+    for fraction, method in _METHODS:
+        report = small_world_report(graph([]), sample_fraction=fraction, seed=4)
+        assert _fields(report) == _fields(MetricsReport(
+            node_count=0, edge_count=0, component_count=0,
+            largest_component_nodes=0, largest_component_edges=0,
+            cc1=nan, cc2=nan, avg_path_length=nan, cc_random=nan, l_random=nan,
+            ratio_cc=nan, ratio_l=nan, path_length_method=method, flags=("empty_graph",)))
 
 
 def test_report_uses_largest_component():
@@ -334,9 +348,15 @@ def test_report_of_one_edge_has_nan_cc2_and_its_flags():
 
 
 def test_report_of_isolated_nodes_has_zero_cc1_and_its_flags():
-    report = small_world_report(gnm_random_graph(5, 0))
-    assert report.cc1 == 0.0
-    assert report.flags == ("cc2_no_triples", "single_node_component")
+    nan = math.nan
+    for fraction, method in _METHODS:
+        report = small_world_report(gnm_random_graph(5, 0), sample_fraction=fraction, seed=4)
+        assert _fields(report) == _fields(MetricsReport(
+            node_count=5, edge_count=0, component_count=5,
+            largest_component_nodes=1, largest_component_edges=0,
+            cc1=0.0, cc2=nan, avg_path_length=nan, cc_random=nan, l_random=nan,
+            ratio_cc=nan, ratio_l=nan, path_length_method=method,
+            flags=("cc2_no_triples", "single_node_component")))
 
 
 def test_one_triangle_pass_per_report_and_per_window(monkeypatch):
