@@ -51,7 +51,6 @@ from .trace import (
     ParseResult,
     TimeWindow,
     Trace,
-    TraceRecord,
     TraceSummary,
     generate_clustered_trace,
     generate_synthetic_trace,
@@ -82,7 +81,6 @@ __all__ = [
     "TimeWindow",
     "Trace",
     "TraceParseError",
-    "TraceRecord",
     "TraceSummary",
     "WeightDistribution",
     "average_path_length",

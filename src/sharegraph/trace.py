@@ -40,7 +40,7 @@ import threading
 import zlib
 from array import array
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -65,26 +65,12 @@ _KEY_BYTES = 8
 _TIME_LIMIT = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One request event: a user asked for an item at a point in time."""
+class _Record(NamedTuple):
+    """One row of a trace, as ``Trace.records`` lists it."""
 
     user_id: str
     item_id: str
     timestamp: int
-
-    def __post_init__(self):
-        for name, value in (("user_id", self.user_id), ("item_id", self.item_id)):
-            if not value:
-                raise ValueError(f"{name} must be non-empty")
-            if "," in value or "\n" in value:
-                raise ValueError(f"{name} may not contain commas or newlines: {value!r}")
-        if self.user_id.startswith("#"):
-            raise ValueError("user_id may not start with '#' (reserved for comments)")
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
-        if self.timestamp >= _TIME_LIMIT:
-            raise ValueError(f"timestamp must be below 2**63 - 1, got {self.timestamp}")
 
 
 @dataclass(frozen=True)
@@ -135,9 +121,11 @@ class Trace:
     numpy arrays. ``time_sorted`` is derived, never supplied: it is True
     exactly when timestamps are non-decreasing in row order.
 
-    ``records`` turns the rows into ``TraceRecord`` objects; the library
-    itself works on the columns only. The constructor takes the columns as
-    given: outside input enters through ``parse_trace``.
+    ``records`` lists the rows as ``(user_id, item_id, timestamp)`` named
+    tuples, which the traced benchmark run reads; the library itself works
+    on the columns only. The constructor takes the columns as given: outside
+    input enters through ``parse_trace``, and the parse alone decides which
+    rows are valid.
     """
 
     __slots__ = ("user_ids", "item_ids", "user_codes", "item_codes", "timestamps",
@@ -177,9 +165,9 @@ class Trace:
                 self.timestamps.tolist())
 
     @property
-    def records(self) -> tuple[TraceRecord, ...]:
-        """The rows as validated ``TraceRecord`` objects, made on each call."""
-        return tuple(map(TraceRecord, *self._decoded()))
+    def records(self) -> tuple[_Record, ...]:
+        """The rows as ``(user_id, item_id, timestamp)`` named tuples, made on each call."""
+        return tuple(map(_Record, *self._decoded()))
 
     def __len__(self) -> int:
         return len(self.timestamps)

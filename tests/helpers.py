@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from sharegraph import DataSharingGraph, Graph, Trace, TraceRecord
+from sharegraph import DataSharingGraph, Graph, Trace
 from sharegraph.graph import symmetric_csr
 
 
@@ -243,20 +243,21 @@ def random_tree(n: int, seed: int = 0) -> Graph:
 # trace builders
 
 def trace_of(rows) -> Trace:
-    """Trace of (user, item, timestamp) tuples or ``TraceRecord``s, in row order.
+    """Trace of (user, item, timestamp) tuples, in row order.
 
-    Each row is validated as a ``TraceRecord``; the sorted id tables and the
-    int32 code and int64 time columns are built here, not by the parse.
+    The sorted id tables and the int32 code and int64 time columns are built
+    here, not by the parse, and the rows are taken as given: which rows are
+    valid is the parse's rule alone.
     """
-    records = [r if isinstance(r, TraceRecord) else TraceRecord(*r) for r in rows]
-    user_ids = tuple(sorted({r.user_id for r in records}))
-    item_ids = tuple(sorted({r.item_id for r in records}))
+    rows = list(rows)
+    user_ids = tuple(sorted({u for u, _, _ in rows}))
+    item_ids = tuple(sorted({i for _, i, _ in rows}))
     user_code = {u: k for k, u in enumerate(user_ids)}
     item_code = {i: k for k, i in enumerate(item_ids)}
     return Trace(
-        user_ids, np.array([user_code[r.user_id] for r in records], dtype=np.int32),
-        item_ids, np.array([item_code[r.item_id] for r in records], dtype=np.int32),
-        np.array([r.timestamp for r in records], dtype=np.int64),
+        user_ids, np.array([user_code[u] for u, _, _ in rows], dtype=np.int32),
+        item_ids, np.array([item_code[i] for _, i, _ in rows], dtype=np.int32),
+        np.array([t for _, _, t in rows], dtype=np.int64),
     )
 
 

@@ -110,6 +110,12 @@ def test_predict_degenerate_when_groups_are_singletons():
     assert "degenerate_model" in pred.flags
 
 
+def test_projection_derivatives_reject_a_zero_mean_group_size():
+    b = BipartiteAffiliation(user_count=1, item_count=1, p={0: 1.0}, q={0: 1.0})
+    with pytest.raises(ValueError, match="zero mean"):
+        projection_derivatives(b)
+
+
 def test_projection_derivatives_match_composite_finite_differences():
     rng = np.random.default_rng(59)
     for _ in range(30):

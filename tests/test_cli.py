@@ -719,6 +719,9 @@ _EMPTY, _CORRUPT = "", _GZIP_TRACE[:len(_GZIP_TRACE) // 2]
     pytest.param(SIX_RECORD_CSV, ["nullmodel", "--modes", "ST9"], EXIT_PRECONDITION,
                  id="nullmodel-unknown-mode"),
     pytest.param(None, ["synth", "--users", "0"], EXIT_PRECONDITION, id="synth-no-users"),
+    pytest.param(None, ["synth", "--span", "0"], EXIT_PRECONDITION, id="synth-zero-span"),
+    pytest.param(None, ["synth", "--clustered", "--groups", "2"], EXIT_PRECONDITION,
+                 id="synth-two-groups"),
 ])
 def test_a_failed_run_writes_no_file(tmp_path, capsys, data, argv, code):
     if data is not None:

@@ -10,7 +10,6 @@ import pytest
 from sharegraph import (
     Graph,
     TimeWindow,
-    TraceRecord,
     build_dsg,
     generate_synthetic_trace,
     slice_window,
@@ -219,7 +218,7 @@ def test_largest_component_cut_peaks_below_two_and_a_half_times_its_result():
     # A component keeps its rows whole: the measured peak was 2.00x the
     # result, where cutting through an entry-row array took 3.13x.
     trace = generate_synthetic_trace(800, 3000, 12000, "zipf", seed=1)
-    pair = [TraceRecord(user, "item-of-the-pair", 0) for user in ("pair-a", "pair-b")]
+    pair = [(user, "item-of-the-pair", 0) for user in ("pair-a", "pair-b")]
     base = build_dsg(trace_of([*trace.records, *pair]), 1)
     (count, g), peak = _traced_peak(base.largest_component)
     assert count == 2 and g.node_count == base.node_count - 2

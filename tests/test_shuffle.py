@@ -13,7 +13,6 @@ from sharegraph import (
     ShuffleMode,
     TimeWindow,
     Trace,
-    TraceRecord,
     build_dsg,
     generate_clustered_trace,
     generate_synthetic_trace,
@@ -88,8 +87,7 @@ def test_marginals_preserved_on_random_traces(variant):
 
 
 _ids = st.text(alphabet="abcxyz123", min_size=1, max_size=4)
-_records = st.builds(TraceRecord, user_id=_ids, item_id=_ids,
-                     timestamp=st.integers(min_value=0, max_value=999))
+_records = st.tuples(_ids, _ids, st.integers(min_value=0, max_value=999))
 
 
 @given(st.lists(_records, min_size=1, max_size=50),

@@ -19,7 +19,7 @@ from sharegraph import (
     EmptyTraceError,
     TimeWindow,
     TraceParseError,
-    TraceRecord,
+    generate_clustered_trace,
     generate_synthetic_trace,
     load_trace,
     parse_trace,
@@ -34,26 +34,7 @@ from helpers import make_trace, trace_of
 SIX_RECORD_CSV = "u1,f1,0\nu1,f2,1\nu2,f2,2\nu2,f3,3\nu3,f1,4\nu3,f2,5\n"
 
 
-# --- record and window validation ---
-
-def test_record_rejects_empty_ids():
-    with pytest.raises(ValueError):
-        TraceRecord("", "f1", 0)
-    with pytest.raises(ValueError):
-        TraceRecord("u1", "", 0)
-
-
-def test_record_rejects_negative_timestamp():
-    with pytest.raises(ValueError):
-        TraceRecord("u1", "f1", -1)
-
-
-def test_record_rejects_unrenderable_ids():
-    with pytest.raises(ValueError):
-        TraceRecord("a,b", "f1", 0)
-    with pytest.raises(ValueError):
-        TraceRecord("#u1", "f1", 0)
-
+# --- window validation ---
 
 def test_window_requires_positive_length():
     with pytest.raises(ValueError):
@@ -80,10 +61,27 @@ def test_parse_all_rejected_raises_with_diagnostics():
 
 
 def test_parse_mixed_lines_reports_rejects_and_keeps_good():
-    text = "# comment\nu1,f1,1\n\nbadline\nu2,f2,2\nu3,f3,-4\nu4,f4,xx\n"
+    # A line led by "#" is a comment even when it holds a record, and a comma
+    # in an id adds a field.
+    text = "# comment\nu1,f1,1\n\nbadline\nu2,f2,2\nu3,f3,-4\nu4,f4,xx\n#u5,f5,5\nu,6,f6,6\n"
     result = parse_trace(text)
-    assert len(result.trace) == 2
-    assert [d.line_number for d in result.rejected] == [4, 6, 7]
+    assert [r.user_id for r in result.trace.records] == ["u1", "u2"]
+    assert [(d.line_number, d.reason) for d in result.rejected] == [
+        (4, "expected 3 fields, got 1"),
+        (6, "timestamp is negative: -4"),
+        (7, "timestamp is not an integer: 'xx'"),
+        (9, "expected 3 fields, got 4"),
+    ]
+
+
+def test_parse_rejects_an_empty_id():
+    result = parse_trace("u1,f1,0\n,f1,1\nu2,,2\n,,3\nu3,f3,4\n")
+    assert [r.user_id for r in result.trace.records] == ["u1", "u3"]
+    assert [(d.line_number, d.reason) for d in result.rejected] == [
+        (2, "empty user_id or item_id"),
+        (3, "empty user_id or item_id"),
+        (4, "empty user_id or item_id"),
+    ]
 
 
 def test_parse_wrong_field_count():
@@ -135,12 +133,12 @@ def test_parse_sort_is_stable_for_equal_timestamps():
 
 
 def test_parse_rejects_timestamp_beyond_int64():
-    result = parse_trace(f"u1,f1,{2**63}\nu2,f1,{2**63 - 2}\n")
+    result = parse_trace(f"u1,f1,{2**63}\nu2,f1,{2**63 - 2}\nu3,f1,{2**63 - 1}\n")
     assert [r.timestamp for r in result.trace.records] == [2**63 - 2]
-    assert [d.line_number for d in result.rejected] == [1]
-    assert "out of range" in result.rejected[0].reason
-    with pytest.raises(ValueError):
-        TraceRecord("u1", "f1", 2**63 - 1)
+    assert [(d.line_number, d.reason) for d in result.rejected] == [
+        (1, f"timestamp is out of range: {2**63}"),
+        (3, f"timestamp is out of range: {2**63 - 1}"),
+    ]
 
 
 def test_parse_crlf_matches_lf():
@@ -578,12 +576,7 @@ def test_freed_heap_is_reused_not_faulted_in_again():
 
 _ids = st.text(st.characters(codec="utf-8", exclude_characters=",\n"),
                min_size=1, max_size=8).filter(lambda s: not s.startswith("#"))
-_records = st.builds(
-    TraceRecord,
-    user_id=_ids,
-    item_id=_ids,
-    timestamp=st.integers(min_value=0, max_value=10**9),
-)
+_records = st.tuples(_ids, _ids, st.integers(min_value=0, max_value=10**9))
 
 
 @given(st.lists(_records, max_size=60))
@@ -766,3 +759,17 @@ def test_synthetic_rejects_zero_counts():
         generate_synthetic_trace(0, 1, 1)
     with pytest.raises(ValueError):
         generate_synthetic_trace(1, 1, 1, "nonsense")
+    with pytest.raises(ValueError, match="span_seconds"):
+        generate_synthetic_trace(1, 1, 1, span_seconds=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"groups": 2}, "at least 3 groups"),
+    ({"users_per_group": 1}, "at least 3 groups"),
+    ({"pool_size": 0}, "must be >= 1"),
+    ({"requests_per_user": 0}, "must be >= 1"),
+    ({"bridge_requests": 0}, "must be >= 1"),
+])
+def test_clustered_rejects_too_few_groups_or_requests(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        generate_clustered_trace(**kwargs)
