@@ -23,10 +23,41 @@ from .graph import BLOCK, Graph
 def _packed_is_cheaper(nodes: int, edges: int, paths: int) -> bool:
     """Whether E * ceil(V/64) word operations undercut the path pass's paths.
 
-    A path costs about three word operations: measured on a 2.0 GHz Xeon,
-    one path takes 19-68 ns and one packed word 9-31 ns.
+    A path costs about three and a half word operations: measured on a
+    2.0 GHz Xeon, one path takes 15-36 ns and one packed word 4-8 ns. On
+    nine random graphs the kernels broke even at 3.2-6.1 words a path, and
+    a weight of 3.5 sends all but one of them to the faster kernel.
     """
-    return edges * -(-nodes // 64) < 3 * paths
+    return 2 * edges * -(-nodes // 64) < 7 * paths
+
+
+def _pack_slab(g: Graph, slab: np.ndarray, w0: int) -> None:
+    """Write words w0, w0 + 1, ... of every packed adjacency row into ``slab`` (V x w).
+
+    The rows are written in dense boolean blocks of rows x 64 * w columns,
+    each at most 8 * BLOCK bytes and BLOCK // 4 CSR entries but at least one
+    row, packed by ``np.packbits``. Which bit holds which column does not
+    change a popcount as long as every row has the same layout, so the bytes
+    are viewed as words in machine order.
+    """
+    n, w = slab.shape
+    cols = 64 * w
+    most_rows = max(1, 8 * BLOCK // cols)
+    fill = max(1, BLOCK // 4)
+    indptr, indices = g.indptr, g.indices
+    r0 = 0
+    while r0 < n:
+        r1 = int(np.searchsorted(indptr, indptr[r0] + fill, side="right")) - 1
+        r1 = min(max(r1, r0 + 1), r0 + most_rows, n)
+        col = indices[indptr[r0]:indptr[r1]] - 64 * w0
+        cell = np.repeat(np.arange(0, (r1 - r0) * cols, cols), np.diff(indptr[r0:r1 + 1]))
+        cell += col
+        if w0 or cols < n:
+            cell = cell[(col >= 0) & (col < cols)]
+        block = np.zeros((r1 - r0, cols), dtype=bool)
+        block.reshape(-1)[cell] = True
+        slab[r0:r1] = np.packbits(block, axis=1, bitorder="little").view(np.uint64)
+        r0 = r1
 
 
 def _packed_support(g: Graph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -36,45 +67,35 @@ def _packed_support(g: Graph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     in ceil(V/64) uint64 words, so an edge's triangles are
     popcount(row[a] & row[b]) (the edge-iterator with bit-set intersection of
     Schank and Wagner, WEA 2005). The rows are packed one slab of ``width``
-    words at a time, V * width <= BLOCK words unless a single word per row
-    already exceeds it, and the counts are summed over the slabs. A slab is
-    filled from runs of BLOCK // 4 CSR entries and read for runs of
-    BLOCK // width edges, so no temporary outgrows the slab. The entries are
-    sorted by row, then column, so the bits of one slab word are adjacent
-    and OR-reduced in one step.
+    words at a time (``_pack_slab``), V * width <= BLOCK words unless a
+    single word per row already exceeds it, and the counts are summed over
+    the slabs. A slab is read for runs of BLOCK // width edges: the rows of
+    each edge's ends are gathered into two buffers, ANDed in place, and the
+    words' popcounts are summed by a product with a vector of ones in
+    float64, exact because a sum is at most 64 * width < 2^53.
     """
     n = g.node_count
+    support = np.zeros(len(src), dtype=np.int64)
+    if not len(src):
+        return support
     words = -(-n // 64)
     width = min(words, max(1, BLOCK // n))
-    step = max(1, BLOCK // width)
-    fill = max(1, BLOCK // 4)
-    indptr, indices = g.indptr, g.indices
-    support = np.zeros(len(src), dtype=np.int64)
+    step = min(len(src), max(1, BLOCK // width))
     for w0 in range(0, words, width):
-        w1 = min(w0 + width, words)
-        slab = np.zeros(n * (w1 - w0), dtype=np.uint64)
-        for e0 in range(0, len(indices), fill):
-            e1 = min(e0 + fill, len(indices))
-            r0 = int(np.searchsorted(indptr, e0, side="right")) - 1
-            r1 = int(np.searchsorted(indptr, e1, side="left"))
-            rows = np.repeat(np.arange(r0, r1), np.diff(np.clip(indptr[r0:r1 + 1], e0, e1)))
-            cols = indices[e0:e1]
-            word = cols >> 6
-            keep = (word >= w0) & (word < w1)
-            cell = rows[keep] * (w1 - w0) + (word[keep] - w0)
-            if not len(cell):
-                continue
-            bit = np.left_shift(np.uint64(1), (cols[keep] & 63).astype(np.uint64))
-            starts = np.empty(len(cell), dtype=bool)
-            starts[0] = True
-            np.not_equal(cell[1:], cell[:-1], out=starts[1:])
-            first = np.flatnonzero(starts)
-            # |=, not =: a cell that straddles two runs of entries gets bits from both.
-            slab[cell[first]] |= np.bitwise_or.reduceat(bit, first)
-        slab = slab.reshape(n, w1 - w0)
+        w = min(width, words - w0)
+        slab = np.empty((n, w), dtype=np.uint64)
+        _pack_slab(g, slab, w0)
+        common, other = np.empty((2, step, w), dtype=np.uint64)
+        ones = np.ones(w)
         for s0 in range(0, len(src), step):
-            a, b = src[s0:s0 + step], dst[s0:s0 + step]
-            support[s0:s0 + step] += np.bitwise_count(slab[a] & slab[b]).sum(axis=1, dtype=np.int64)
+            k = min(step, len(src) - s0)
+            # mode="clip" lets take write straight into out; every index is a row.
+            np.take(slab, src[s0:s0 + k], axis=0, out=common[:k], mode="clip")
+            np.take(slab, dst[s0:s0 + k], axis=0, out=other[:k], mode="clip")
+            common[:k] &= other[:k]
+            counts = np.bitwise_count(common[:k])
+            # One word needs no sum, and a product with one column is slower than a copy.
+            support[s0:s0 + k] += counts[:, 0] if w == 1 else (counts @ ones).astype(np.int64)
     return support
 
 
@@ -85,11 +106,14 @@ def _triangles(g: Graph) -> np.ndarray:
     which leaves every node at most sqrt(2E) out-neighbours. The path pass
     walks every path a -> b -> c over the oriented edges; the packed kernel
     (``_packed_support``) ANDs two rows of ceil(V/64) words for each edge.
-    Each graph goes to the kernel with the smaller cost, three per path
+    Each graph goes to the kernel with the smaller cost, 3.5 per path
     against one per word of E * ceil(V/64) (``_packed_is_cheaper``): dense
     graphs to the packed kernel, sparse, wide ones to the path pass. The
-    packed kernel counts each triangle on all three of its edges, so a
-    node's count is half the sum over its incident edges.
+    number of paths is the sum over nodes of in-degree x out-degree in the
+    oriented graph, from two ``bincount``s; the per-edge path arrays are
+    built only when the path pass runs. The packed kernel counts each
+    triangle on all three of its edges, so a node's count is half the sum
+    over its incident edges.
 
     In the path pass a triangle with corners ranked a < b < c is found
     exactly once, as the path a -> b -> c closed by the edge a -> c, and
@@ -107,17 +131,17 @@ def _triangles(g: Graph) -> np.ndarray:
     del rows, up  # freed before either kernel's temporaries
     out_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=out_ptr[1:])
-    head_start = out_ptr[dst]
-    paths = out_ptr[dst + 1] - head_start  # paths a -> b -> c through each edge a -> b
 
     tri = np.zeros(n, dtype=np.int64)
-    if _packed_is_cheaper(n, len(src), int(paths.sum())):
-        del head_start, paths
+    # Each path a -> b -> c is an in-edge and an out-edge of its middle node b.
+    if _packed_is_cheaper(n, len(src), int(np.bincount(dst, minlength=n) @ np.diff(out_ptr))):
         support = _packed_support(g, src, dst)
         np.add.at(tri, src, support)
         np.add.at(tri, dst, support)
         return tri // 2
 
+    head_start = out_ptr[dst]
+    paths = out_ptr[dst + 1] - head_start  # paths a -> b -> c through each edge a -> b
     before = np.zeros(len(src) + 1, dtype=np.int64)
     np.cumsum(paths, out=before[1:])
     node_before = before[out_ptr]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -8,16 +9,20 @@ import pytest
 from sharegraph import (
     DisconnectedGraphError,
     MetricsReport,
+    TimeWindow,
     average_path_length,
     build_dsg,
     clustering,
     compare_window,
     degree_distribution,
+    generate_synthetic_trace,
     gnm_random_graph,
     random_baselines,
+    slice_window,
     small_world_report,
 )
 from sharegraph import metrics as metrics_module
+from sharegraph import pipeline
 from helpers import (
     complete_graph,
     edges,
@@ -128,8 +133,8 @@ def _triangles_peak(g):
 
 def test_dense_graph_packed_kernel_peaks_below_the_path_pass(monkeypatch):
     # Shaped like the affiliation-1m window (V=1,499, E=73k): its packed rows
-    # fit in one slab of 24 x 1,500 words. The packed kernel peaks at 4.5 MiB,
-    # the path pass at 5.5 MiB; the bound leaves 0.5 MiB of margin.
+    # fit in one slab of 24 x 1,500 words. The packed kernel peaks at 3.6 MiB,
+    # the path pass at 5.5 MiB; the bound leaves 1.4 MiB of margin.
     g = gnm_random_graph(1500, 73_000, seed=0)
     packed, packed_peak = _triangles_peak(g)
     monkeypatch.setattr(metrics_module, "_packed_is_cheaper", lambda *counts: False)
@@ -139,13 +144,72 @@ def test_dense_graph_packed_kernel_peaks_below_the_path_pass(monkeypatch):
     assert packed_peak < 5 * 2**20
 
 
-def test_kernel_rule_weighs_a_path_as_three_words():
-    # An LCC of the nullmodel-shuffle workload (V=948, E=4,868): 73,020 words
-    # against 35,040 paths, and the packed kernel was measured faster. On a
-    # gnm_random_graph(3000, 60000), 2.82 M words against about 0.8 M paths,
-    # the path pass was measured faster.
+def test_kernel_rule_weighs_a_path_as_three_and_a_half_words():
+    # Medians of 15 interleaved calls, each kernel forced. An LCC of the
+    # nullmodel-shuffle workload (V=948, E=4,868): 73,020 words against 35,040
+    # paths, packed 0.59 ms, path pass 1.27 ms. gnm_random_graph(2000, 30000):
+    # 3.20 words a path, packed 3.8 ms, path pass 5.3 ms. On a
+    # gnm_random_graph(3000, 60000), 3.53 words a path, the two tie (11.5 ms);
+    # on a gnm_random_graph(5000, 150000), 3.97 words a path, the path pass
+    # takes 41 ms and packed 51 ms.
     assert metrics_module._packed_is_cheaper(948, 4868, 35040)
+    assert metrics_module._packed_is_cheaper(2000, 30000, 300089)
     assert not metrics_module._packed_is_cheaper(3000, 60000, 796387)
+    assert not metrics_module._packed_is_cheaper(5000, 150000, 2985894)
+
+
+def _brute_force_oriented_paths(g):
+    """Paths a -> b -> c with every edge oriented from lower to higher (degree, index)."""
+    nbrs = [g.indices[g.indptr[u]:g.indptr[u + 1]].tolist() for u in range(g.node_count)]
+    rank = [(len(nbrs[u]), u) for u in range(g.node_count)]
+    out = [[v for v in nbrs[u] if rank[v] > rank[u]] for u in range(g.node_count)]
+    return sum(len(out[b]) for a in range(g.node_count) for b in out[a])
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_kernel_rule_reads_the_oriented_path_count(monkeypatch, packed):
+    seen = []
+
+    def spy(nodes, edges, paths):
+        seen.append((nodes, edges, paths))
+        return packed
+
+    monkeypatch.setattr(metrics_module, "_packed_is_cheaper", spy)
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        n = int(rng.integers(2, 90))
+        g = gnm_random_graph(n, int(rng.integers(0, n * (n - 1) // 2 + 1)), seed=int(rng.integers(0, 2**31)))
+        triangles = clustering(g)[2]
+        assert seen.pop() == (n, g.edge_count, _brute_force_oriented_paths(g))
+        assert triangles == oracle_triangles(g)
+
+
+# sha256 of a sweep's metrics.csv, whose cells take both triangle kernels, and
+# of one window's affiliation.csv: a change to a triangle kernel must leave
+# every report byte as it was.
+REPORT_DIGESTS = {
+    "metrics.csv": "48d5dcd6d8bf4647d0577389e1fdbb6314629150421de3f8666291284e4d8024",
+    "affiliation.csv": "d4c013aa1ab3a23f2d384a123bd1be93e76850b840655b76c42c2bddf7d2b994",
+}
+
+
+def test_report_golden_digests(monkeypatch):
+    routes = []
+    rule = metrics_module._packed_is_cheaper
+    monkeypatch.setattr(metrics_module, "_packed_is_cheaper",
+                        lambda *counts: routes.append(rule(*counts)) or routes[-1])
+    trace = generate_synthetic_trace(400, 1000, 8000, seed=5, span_seconds=7200)
+    spec = pipeline.SweepSpec(window_lengths=(3600,), thresholds=(1, 2), origin=0,
+                              sample_fraction=0.5, master_seed=11)
+    metrics_csv = pipeline.render_csv(pipeline.METRICS_COLUMNS,
+                                      pipeline.metrics_rows("synthetic", pipeline.run_sweep(trace, spec)))
+    assert sorted(set(routes)) == [False, True]  # cells on both kernels
+    trace = generate_synthetic_trace(400, 3000, 20000, "zipf", seed=5, span_seconds=3600)
+    window = TimeWindow(0, 600)
+    affiliation_csv = pipeline.render_csv(
+        pipeline.AFFILIATION_COLUMNS, pipeline.affiliation_rows(slice_window(trace, window), window, 600))
+    got = {"metrics.csv": metrics_csv, "affiliation.csv": affiliation_csv}
+    assert {name: hashlib.sha256(text.encode()).hexdigest() for name, text in got.items()} == REPORT_DIGESTS
 
 
 def test_sparse_graph_takes_the_path_pass_in_bounded_memory(monkeypatch):

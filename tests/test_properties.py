@@ -27,6 +27,7 @@ from helpers import (
     oracle_dsg_edges,
     oracle_node_triangles,
     oracle_triangles,
+    star_graph,
     weighted_edges,
 )
 
@@ -119,6 +120,29 @@ def wide_graphs(draw):
     return g, draw(st.integers(1, 2)) * n + draw(st.integers(0, n - 1))
 
 
+# A budget so small that a slab is one word wide and a dense block of the
+# packed fill holds at most five rows and ten CSR entries, or one row that
+# has more entries.
+TINY_BLOCK = 40
+
+
+def assert_each_kernel_counts(g, want, small_budget):
+    """Every route of ``_triangles`` gives ``want``: the path pass, and the
+    packed kernel in one slab, in slabs of ``small_budget``, and in slabs
+    filled from the dense blocks of TINY_BLOCK."""
+    routes = [("path pass", False, metrics_module.BLOCK),
+              ("packed, one slab", True, metrics_module.BLOCK),
+              ("packed, small slabs", True, small_budget),
+              ("packed, tiny blocks", True, TINY_BLOCK)]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, packed, budget in routes:
+            mp.setattr(metrics_module, "_packed_is_cheaper", lambda *counts, packed=packed: packed)
+            mp.setattr(metrics_module, "BLOCK", budget)
+            got = metrics_module._triangles(g)
+            assert got.dtype == np.int64, name
+            assert got.tolist() == want, name
+
+
 @given(wide_graphs())
 @settings(max_examples=60, deadline=None)
 def test_each_triangle_kernel_matches_oracles(case):
@@ -127,16 +151,24 @@ def test_each_triangle_kernel_matches_oracles(case):
     reference.add_nodes_from(g.nodes)
     want = oracle_node_triangles(g)
     assert want == [nx.triangles(reference, u) for u in g.nodes]
-    routes = [("path pass", False, metrics_module.BLOCK),
-              ("packed, one slab", True, metrics_module.BLOCK),
-              ("packed, small slabs", True, small_budget)]
-    with pytest.MonkeyPatch.context() as mp:
-        for name, packed, budget in routes:
-            mp.setattr(metrics_module, "_packed_is_cheaper", lambda *counts, packed=packed: packed)
-            mp.setattr(metrics_module, "BLOCK", budget)
-            got = metrics_module._triangles(g)
-            assert got.dtype == np.int64, name
-            assert got.tolist() == want, name
+    assert_each_kernel_counts(g, want, small_budget)
+
+
+EDGE_CASE_GRAPHS = {
+    "no nodes": graph([]),
+    "one node": graph([], nodes=["a"]),
+    "two nodes, no edge": graph([], nodes=["a", "b"]),
+    "star of 100 leaves": star_graph(100),
+    **{f"{n} nodes": gnm_random_graph(n, n * (n - 1) // 4, seed=n) for n in (63, 64, 65, 128, 129)},
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CASE_GRAPHS)
+def test_each_triangle_kernel_on_edge_case_graphs(name):
+    # 63, 64, 65, 128 and 129 nodes end a row one short of, at and one past a
+    # word boundary; the star's centre row alone outgrows a tiny block.
+    g = EDGE_CASE_GRAPHS[name]
+    assert_each_kernel_counts(g, oracle_node_triangles(g), g.node_count + 1)
 
 
 _rows = st.tuples(st.sampled_from([f"u{i}" for i in range(8)]),
