@@ -46,7 +46,7 @@ class ShuffleMode:
 
 
 def _streams(trace: Trace, mode: ShuffleMode) -> dict[str, tuple[np.ndarray, np.random.SeedSequence]]:
-    """The code columns a mode permutes: by column name, a fresh copy and its stream.
+    """The code columns a mode permutes: by column name, ``arange(len(trace))`` and its stream.
 
     ST1 spawns two independent streams from the seed, one per column; ST2
     and ST3 permute one column with the seed's own stream.
@@ -54,29 +54,33 @@ def _streams(trace: Trace, mode: ShuffleMode) -> dict[str, tuple[np.ndarray, np.
     root = np.random.SeedSequence(mode.seed)
     if mode.variant == "ST1":
         user_seq, item_seq = root.spawn(2)
-        return {"user_codes": (trace.user_codes.copy(), user_seq),
-                "item_codes": (trace.item_codes.copy(), item_seq)}
-    if mode.variant == "ST2":
-        return {"user_codes": (trace.user_codes.copy(), root)}
-    return {"item_codes": (trace.item_codes.copy(), root)}
+        return {"user_codes": (np.arange(len(trace)), user_seq),
+                "item_codes": (np.arange(len(trace)), item_seq)}
+    return {"user_codes" if mode.variant == "ST2" else "item_codes": (np.arange(len(trace)), root)}
 
 
-def _shuffle(codes: np.ndarray, seed_seq: np.random.SeedSequence) -> None:
-    # In place, the swaps of rng.permutation(codes) for a 1-D array.
-    np.random.default_rng(seed_seq).shuffle(codes)
+def _shuffle(order: np.ndarray, seed_seq: np.random.SeedSequence) -> None:
+    # In place, rng.permutation(len(order)) out of an arange: numpy shuffles
+    # 8-byte items on its fast path, which the int32 code columns miss.
+    np.random.default_rng(seed_seq).shuffle(order)
 
 
 def _shuffle_all(streams: dict[str, tuple[np.ndarray, np.random.SeedSequence]]) -> None:
-    """Shuffle each column of ``_streams``'s output in place with its own stream."""
-    for codes, seed_seq in streams.values():
-        _shuffle(codes, seed_seq)
+    """Shuffle each order of ``_streams``'s output in place with its own stream."""
+    for order, seed_seq in streams.values():
+        _shuffle(order, seed_seq)
 
 
-def _kept(codes: np.ndarray, rows: slice | np.ndarray | None) -> np.ndarray:
-    """The window's rows of a full column, in an array that does not hold the column."""
-    if rows is None:
-        return codes
-    return codes[rows].copy() if isinstance(rows, slice) else codes[rows]
+def _permuted(trace: Trace, streams: dict[str, tuple[np.ndarray, np.random.SeedSequence]],
+              rows: slice | np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Each shuffled column's codes at ``rows`` (all rows for None), by column name.
+
+    Column ``name`` shuffled is ``getattr(trace, name)[order]``: the swaps
+    that made ``order`` out of an arange, made on the column. Only the
+    window's rows are gathered, so no full column is copied for a window.
+    """
+    return {name: getattr(trace, name)[order if rows is None else order[rows]]
+            for name, (order, _) in streams.items()}
 
 
 def _with_codes(trace: Trace, codes: dict[str, np.ndarray]) -> Trace:
@@ -96,7 +100,7 @@ def shuffle_trace(trace: Trace, mode: ShuffleMode) -> Trace:
         raise EmptyTraceError("cannot shuffle an empty trace")
     streams = _streams(trace, mode)
     _shuffle_all(streams)
-    return _with_codes(trace, {name: codes for name, (codes, _) in streams.items()})
+    return _with_codes(trace, _permuted(trace, streams))
 
 
 def replicate_seed(master_seed: int, replicate: int) -> int:
@@ -169,11 +173,13 @@ def null_model_comparison(
 
     The next replicate's columns are shuffled on one helper thread (see
     trace._Helper, which also reads gzip input ahead) while the current
-    graph is measured, so at most one replicate's full columns are in
-    flight. The calling thread copies every column and the helper only
-    shuffles the copies in place, so that its allocator arena holds no
-    blocks. The rows are those of ``shuffle_trace`` and ``slice_window`` run
-    one replicate after another; there is no option to turn the helper off.
+    graph is measured, so at most one replicate's orders are in flight.
+    For each column it permutes, the calling thread makes the order, an
+    arange, and the helper only shuffles it in place, so that its allocator
+    arena holds no blocks; the window's codes are then gathered through the
+    order, and no full code column is copied. The rows are those of
+    ``shuffle_trace`` and ``slice_window`` run one replicate after another;
+    there is no option to turn the helper off.
     It is started only when there are replicates. It is joined before this
     returns or raises an ``Exception``, once the shuffle in flight is done;
     an interrupt is raised without waiting for that shuffle.
@@ -205,8 +211,8 @@ def null_model_comparison(
         rows = [measured("real", 0, None, real)]
         for k, (variant, r, seed) in enumerate(shuffles):
             helper.result()
-            codes = {name: _kept(column, rows_of) for name, (column, _) in streams.items()}
-            del streams  # a window's full columns go before the next replicate's are copied
+            codes = _permuted(trace, streams, rows_of)
+            del streams  # a window's full orders go before the next replicate's are made
             if k + 1 < len(shuffles):
                 streams = requested(k + 1)
             rows.append(measured(variant, r, seed, _with_codes(real, codes)))

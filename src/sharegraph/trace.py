@@ -10,20 +10,24 @@ its magic bytes. IDs are opaque tokens; they may not contain commas or
 newlines (the format could not carry them back out).
 
 The parse reads its input in blocks of whole lines. Plain input is read on
-the calling thread. Gzip input is inflated one read ahead on a helper
-thread (see _Helper, which the null model's shuffles use too), and zlib
-lets it run while the caller converts the block before. The helper never
-outlives the parse, except that an interrupt while it waits on a stalled
-pipe is raised at once and leaves it in that read (see parse_trace). A
-regular block, one where every line is ``user,item,digits`` with ids of 1
-to 8 bytes (see _regular_block), is converted by whole numpy columns, a
-word at a time: each id is one unaligned 8-byte load, a key whose order is
-the ids' ``str`` order, and each timestamp one to three words converted by
-SWAR arithmetic. Ids are interned by key and decoded to ``str`` in bulk
-(see _IdTable). Every other block, one with a longer id included, goes
-through the line loop, which decodes each line on its own and is the one
-definition of a valid line; the vectorized route takes only blocks that
-the loop would accept unchanged, so both give the same trace.
+the calling thread. Gzip input is inflated by one zlib call a block (see
+_Gunzip), made one read ahead on a helper thread (see _Helper, which the
+null model's shuffles use too). The read and the inflate release the
+interpreter lock, so on a free second core they run beside the caller's
+conversion of the block before; the rest of the helper's work waits for
+the lock, and on one core the inflate adds its whole time. The helper
+never outlives the parse, except that an interrupt while it waits on a
+stalled pipe is raised at once and leaves it in that read (see
+parse_trace). A regular block, one where every line is ``user,item,digits``
+with ids of 1 to 8 bytes (see _regular_block), is converted by whole numpy
+columns, a word at a time: each id is one unaligned 8-byte load, a key
+whose order is the ids' ``str`` order, and each timestamp one to three
+words converted by SWAR arithmetic. Ids are interned by key, through a
+direct-mapped table of codes in front of a sorted key table, and decoded
+to ``str`` in bulk (see _IdTable). Every other block, one with a longer id
+included, goes through the line loop, which decodes each line on its own
+and is the one definition of a valid line; the vectorized route takes only
+blocks that the loop would accept unchanged, so both give the same trace.
 
 In memory a trace is columnar: int32 user and item codes into id tables
 sorted in ``str`` order, and int64 timestamps. Code order is therefore id
@@ -33,7 +37,6 @@ order, and a window is an index range that shares its trace's tables.
 from __future__ import annotations
 
 import functools
-import gzip
 import io
 import queue
 import threading
@@ -227,28 +230,6 @@ class ParseResult:
     rejected: tuple[ParseDiagnostic, ...]
 
 
-class _Prefixed:
-    """A binary stream read as ``head`` and then the rest of ``stream``.
-
-    The parse reads the gzip magic off its input and puts it back this way,
-    so the input need not seek. A read may return less than it was asked
-    for, as a raw file's may.
-    """
-
-    def __init__(self, head: bytes, stream: BinaryIO):
-        self._head, self._stream = head, stream
-
-    def read(self, size: int = -1) -> bytes:
-        head = self._head
-        if not head:
-            return self._stream.read(size)
-        if 0 <= size < len(head):
-            self._head = head[size:]
-            return head[:size]
-        self._head = b""
-        return head
-
-
 class _Helper:
     """Calls made one at a time on a helper thread while the caller works.
 
@@ -299,24 +280,69 @@ class _Helper:
             self._thread.join()
 
 
-def _read_ahead(stream: BinaryIO) -> Iterator[bytes]:
-    """``stream.read(READ_BLOCK)`` up to ``b""``, each read made on a helper one ahead.
+class _Gunzip:
+    """The inflated bytes of a gzip stream of one or more members.
 
-    The next read is submitted before a block is yielded, so the helper
+    ``head`` is the start of the stream, already read off it. Each
+    ``read()`` makes one zlib call, ``decompress(pending, READ_BLOCK)``,
+    reading more of the stream first when no compressed bytes are pending,
+    and returns its output; ``b""`` means the last member ended. The stream
+    is read a quarter block at a time: text inflates about fourfold, so a
+    call mostly uses up its input, and little compressed input is held or
+    copied as the unconsumed tail. zlib reads each member's header and
+    checks its CRC and length. Zero bytes after a member are skipped, as
+    gzip(1) skips them. Input that ends inside a member, or is not gzip
+    where a member should start, raises TraceParseError.
+    """
+
+    def __init__(self, stream: BinaryIO, head: bytes):
+        self._stream = stream
+        self._pending = head  # compressed bytes not yet given to zlib
+        self._member = None  # the decompressor of the member being read
+
+    def read(self) -> bytes:
+        while True:
+            if not self._pending:
+                self._pending = self._stream.read((READ_BLOCK + 3) // 4)
+                if not self._pending:
+                    if self._member is not None:
+                        raise TraceParseError("corrupt gzip input: truncated inside a member")
+                    return b""
+            if self._member is None:
+                self._pending = self._pending.lstrip(b"\0")
+                if not self._pending:
+                    continue
+                self._member = zlib.decompressobj(wbits=31)
+            try:
+                out = self._member.decompress(self._pending, READ_BLOCK)
+            except zlib.error as exc:
+                raise TraceParseError(f"corrupt gzip input: {exc}") from exc
+            if self._member.eof:
+                self._pending, self._member = self._member.unused_data, None
+            else:
+                self._pending = self._member.unconsumed_tail
+            if out:
+                return out
+
+
+def _read_ahead(read: Callable[[], bytes]) -> Iterator[bytes]:
+    """``read()`` up to ``b""``, each call made on a helper one ahead.
+
+    The next call is submitted before a block is yielded, so the helper
     reads while the caller works on the block. The helper is joined before
-    the last read's ``b""`` ends the iteration or a read's error is raised;
-    closing the generator mid-way does not wait for the read in flight
+    the last call's ``b""`` ends the iteration or a call's error is raised;
+    closing the generator mid-way does not wait for the call in flight
     (see _Helper).
     """
     with _Helper() as helper:
-        helper.submit(stream.read, READ_BLOCK)
+        helper.submit(read)
         while block := helper.result():
-            helper.submit(stream.read, READ_BLOCK)
+            helper.submit(read)
             yield block
 
 
-def _blocks(stream: BinaryIO, ahead: bool) -> Iterator[bytes]:
-    """The bytes of a binary stream in blocks of whole lines.
+def _blocks(read: Callable[[], bytes], ahead: bool, head: bytes = b"") -> Iterator[bytes]:
+    """``head``, then what ``read()`` returns up to ``b""``, in blocks of whole lines.
 
     Every block but the last ends at a ``\\n``: the unfinished line at the end
     of each read is carried into the next block. The last block is what
@@ -326,19 +352,15 @@ def _blocks(stream: BinaryIO, ahead: bool) -> Iterator[bytes]:
     are made on a helper thread (see _read_ahead), joined before the last
     block is yielded or an error is raised.
     """
-    reads = _read_ahead(stream) if ahead else iter(lambda: stream.read(READ_BLOCK), b"")
-    pieces = []
-    try:
-        for block in reads:
-            cut = block.rfind(b"\n") + 1
-            if not cut:
-                pieces.append(block)
-                continue
-            pieces.append(block[:cut])
-            yield b"".join(pieces)
-            pieces = [block[cut:]]
-    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise TraceParseError(f"corrupt gzip input: {exc}") from exc
+    pieces = [head]
+    for block in _read_ahead(read) if ahead else iter(read, b""):
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            pieces.append(block)
+            continue
+        pieces.append(block[:cut])
+        yield b"".join(pieces)
+        pieces = [block[cut:]]
     tail = b"".join(pieces)
     if tail:
         yield tail
@@ -462,13 +484,26 @@ def _eight_digits(word: np.ndarray) -> np.ndarray:
     return ((word & _PAIRS) * _BY_100 + ((word >> 16) & _PAIRS) * _BY_1) >> 32
 
 
+# Fibonacci hashing: 2**64 over the golden ratio, the multiplier of a key's
+# hash in _IdTable's direct-mapped table (see _IdTable._slots_of).
+_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _slot_bits(count: int) -> int:
+    """Bits of a slot number for ``count`` keys, so at most half the slots are filled."""
+    return max(1, (2 * count).bit_length())
+
+
 class _IdTable:
     """One column's ids, coded in order of first sight.
 
-    Regular blocks intern by key: ``keys`` holds, sorted, the keys (see
-    _regular_block) of the ids they have met and ``key_codes`` their codes,
-    so a block looks its distinct keys up at once and codes only the ids new
-    to the trace, merging them into the two arrays. While every id has a
+    Regular blocks intern by key (see _regular_block). A direct-mapped table
+    comes first: a key's slot, the top bits of its multiplicative hash,
+    holds a code, and the key is a hit when ``code_keys``, the keys in code
+    order, holds it at that code. Only the misses, new ids and the losers of
+    slot collisions, go to _sorted_block_codes, which looks them up in
+    ``keys``, the keys sorted, with ``key_codes`` their codes, codes the ids
+    new to the trace, and puts each miss in its slot. While every id has a
     key, a new key is a new id, and no id is decoded until the end, where
     the key table, in ``str`` order, is the sorted id table. The line loop
     interns by id into the dict ``by_id()``, made on its first call from the
@@ -480,17 +515,51 @@ class _IdTable:
     def __init__(self):
         self.keys = np.empty(0, dtype=np.uint64)
         self.key_codes = np.empty(0, dtype=np.int32)
+        # 0 is no key's value: it stands for a code with no key, so an empty
+        # slot's code 0 confirms no key until code 0 is handed out.
+        self.code_keys = np.zeros(1, dtype=np.uint64)
         self._by_id: dict[str, int] | None = None
+        self._rehash()
+
+    def _rehash(self) -> None:
+        """Size the slot table for the keys met so far and fill it with them."""
+        self._bits = _slot_bits(len(self.keys))
+        self._slots = np.zeros(1 << self._bits, dtype=np.int32)
+        self._slots[self._slots_of(self.keys)] = self.key_codes
+
+    def _slots_of(self, keys: np.ndarray) -> np.ndarray:
+        """The slot of each key: the top bits of its multiplicative hash.
+
+        A short id's key ends in NUL bytes, so its high half is folded into
+        its low half first, where the multiply carries it into the top bits.
+        The slots are below 2**63: their int64 view indexes without a cast.
+        """
+        hashes = keys >> 32
+        hashes ^= keys
+        hashes *= _HASH
+        hashes >>= 64 - self._bits
+        return hashes.view(np.int64)
 
     def by_id(self) -> dict[str, int]:
         """Every id met so far and its code, in code order."""
         if self._by_id is None:
-            ids = _decoded(self.keys[np.argsort(self.key_codes)])
+            ids = _decoded(self.code_keys[:len(self.keys)])
             self._by_id = dict(zip(ids, range(len(ids))))
         return self._by_id
 
     def block_codes(self, keys: np.ndarray) -> np.ndarray:
         """The int32 codes of a regular block's keys; their new ids are interned."""
+        slots = self._slots_of(keys)
+        codes = self._slots[slots]
+        miss = np.flatnonzero(np.take(self.code_keys, codes) != keys)
+        if len(miss):
+            codes[miss] = self._slots[slots[miss]] = self._sorted_block_codes(keys[miss])
+            if _slot_bits(len(self.keys)) > self._bits:
+                self._rehash()
+        return codes
+
+    def _sorted_block_codes(self, keys: np.ndarray) -> np.ndarray:
+        """The codes of keys looked up in the sorted key table; new ids are interned."""
         distinct, inverse = np.unique(keys, return_inverse=True)
         known = self.keys
         at = np.searchsorted(known, distinct)
@@ -504,15 +573,22 @@ class _IdTable:
             new_keys = distinct[new]
             table = self._by_id
             if table is None:
-                codes[new] = np.arange(len(known), len(known) + len(new_keys))
+                new_codes = np.arange(len(known), len(known) + len(new_keys), dtype=np.int32)
             else:
-                codes[new] = [table.setdefault(name, len(table)) for name in _decoded(new_keys)]
+                new_codes = np.array([table.setdefault(name, len(table))
+                                      for name in _decoded(new_keys)], dtype=np.int32)
+            codes[new] = new_codes
             self.keys = np.insert(known, at[new], new_keys)
-            self.key_codes = np.insert(self.key_codes, at[new], codes[new])
+            self.key_codes = np.insert(self.key_codes, at[new], new_codes)
+            short = int(new_codes.max()) + 1 - len(self.code_keys)
+            if short > 0:
+                self.code_keys = np.concatenate((self.code_keys, np.zeros(short, dtype=np.uint64)))
+            self.code_keys[new_codes] = new_keys
         return codes[inverse.ravel()]
 
     def sorted_codes(self, codes) -> tuple[tuple[str, ...], np.ndarray]:
-        """The ids sorted, and ``codes`` re-coded into that table."""
+        """The ids sorted, and ``codes`` re-coded into that table; ends the interning."""
+        del self._slots, self.code_keys  # freed before the id table is built
         if self._by_id is not None and len(self._by_id) > len(self.keys):
             # The line loop met ids that have no key.
             return _sorted_codes(list(self._by_id), codes)
@@ -523,9 +599,12 @@ def _decoded(keys: np.ndarray) -> list[str]:
     """The ids of keys (see _regular_block), decoded at once."""
     if not len(keys):
         return []
-    # An 8-byte string drops its trailing NULs, the padding, in tolist(); no
-    # id holds a "\n", so one decode serves them all.
-    return b"\n".join(keys.astype(">u8").view("S8").tolist()).decode().split("\n")
+    # Each key's bytes and a "\n", the NUL padding dropped: no id holds a NUL
+    # or a "\n", so one decode serves them all, and no object is made per key.
+    rows = np.empty((len(keys), 9), dtype=np.uint8)
+    rows[:, :8] = keys.astype(">u8").view(np.uint8).reshape(-1, 8)
+    rows[:, 8] = ord("\n")
+    return rows[rows != 0].tobytes()[:-1].decode().split("\n")
 
 
 def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseResult:
@@ -547,15 +626,14 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
     object is made.
 
     Plain input is read on the calling thread and starts no thread. Gzip
-    input is inflated one read ahead on a helper thread (see _Helper), so
-    that inflating a block overlaps converting the one before. The helper
-    never outlives the call: it is joined before the call returns or
-    raises, but for one case. An interrupt that arrives while the helper
-    waits on a stalled pipe is raised at once, without waiting for that
-    read; the helper, a daemon thread, ends when the read returns and does
-    not delay the interpreter's exit. Closing a buffered file (``io.BufferedReader``)
-    waits for a read in progress, so ``load_trace`` and the command line
-    open their file unbuffered.
+    input is inflated one read ahead on a helper thread (see _Gunzip and
+    _Helper). The helper never outlives the call: it is joined before the
+    call returns or raises, but for one case. An interrupt that arrives
+    while the helper waits on a stalled pipe is raised at once, without
+    waiting for that read; the helper, a daemon thread, ends when the read
+    returns and does not delay the interpreter's exit. Closing a buffered
+    file (``io.BufferedReader``) waits for a read in progress, so
+    ``load_trace`` and the command line open their file unbuffered.
 
     Raises:
         TraceParseError: when gzip input is truncated or corrupt, or when at
@@ -567,18 +645,19 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
     stream = io.BytesIO(data) if isinstance(data, bytes) else data
+    # The magic is read off the input and handed on, so the input need not seek.
     magic = stream.read(2)
     if len(magic) == 1:  # a raw stream, a pipe say, may return less
         magic += stream.read(1)
-    stream = _Prefixed(magic, stream)
-    gzipped = magic == _GZIP_MAGIC
-    if gzipped:
-        stream = gzip.GzipFile(fileobj=stream)
+    if magic == _GZIP_MAGIC:
+        blocks = _blocks(_Gunzip(stream, magic).read, ahead=True)
+    else:
+        blocks = _blocks(functools.partial(stream.read, READ_BLOCK), ahead=False, head=magic)
 
     user_table, item_table = _IdTable(), _IdTable()
     user_codes, item_codes, timestamps = array("i"), array("i"), array("q")
     rejected, data_lines, lineno = [], 0, 0
-    for chunk in _blocks(stream, ahead=gzipped):
+    for chunk in blocks:
         regular = _regular_block(chunk)
         if regular is not None:
             user_keys, item_keys, times = regular

@@ -180,9 +180,20 @@ _GZIP_TRACE = gzip.compress(SIX_RECORD_CSV.encode() * 20)
 
 
 _CORRUPT_GZIP = [
-    pytest.param(_GZIP_TRACE[:len(_GZIP_TRACE) // 2], id="truncated"),  # EOFError
-    pytest.param(_GZIP_TRACE[:10] + b"\xff" * 20, id="bad-deflate"),  # zlib.error
-    pytest.param(_GZIP_TRACE[:-8] + b"\0" * 8, id="bad-crc"),  # gzip.BadGzipFile
+    pytest.param(_GZIP_TRACE[:len(_GZIP_TRACE) // 2], id="truncated"),
+    pytest.param(_GZIP_TRACE[:10] + b"\xff" * 20, id="bad-deflate"),
+    pytest.param(_GZIP_TRACE[:-8] + b"\0" * 8, id="bad-crc"),
+    pytest.param(_GZIP_TRACE + b"garbage", id="trailing-garbage"),
+    pytest.param(_GZIP_TRACE + b"\x1f", id="stray-magic-byte"),
+    pytest.param(_GZIP_TRACE[:-4] + (len(SIX_RECORD_CSV) * 20 + 1).to_bytes(4, "little"),
+                 id="wrong-isize"),
+    pytest.param(_GZIP_TRACE[:-3], id="truncated-trailer"),
+    pytest.param(_GZIP_TRACE[:10], id="header-only"),
+    # Bytes that zlib checks in a member's header: its CRC when FHCRC (2)
+    # is set, and the reserved flag bits.
+    pytest.param(_GZIP_TRACE[:3] + b"\x02" + _GZIP_TRACE[4:10] + b"\0\0" + _GZIP_TRACE[10:],
+                 id="bad-header-crc"),
+    pytest.param(_GZIP_TRACE[:3] + b"\x20" + _GZIP_TRACE[4:], id="reserved-flag"),
 ]
 
 

@@ -312,15 +312,18 @@ def test_next_replicate_is_shuffled_off_the_main_thread_while_one_is_measured(mo
 
 
 def test_a_replicates_full_columns_are_freed_before_the_next_is_copied(monkeypatch):
+    # The full-length buffers of a replicate are its columns' orders; the
+    # window's codes are gathered through them, so they go before the next
+    # replicate's are made.
     trace = generate_synthetic_trace(20, 30, 500, seed=3)
-    columns, alive = [], []  # weak references; full columns alive at each copy
+    orders, alive = [], []  # weak references; full orders alive as each replicate's are made
     real_streams = shuffle_module._streams
 
     def streams(*args):
-        alive.append(sum(ref() is not None for ref in columns))
-        copied = real_streams(*args)
-        columns.extend(weakref.ref(codes) for codes, _ in copied.values())
-        return copied
+        alive.append(sum(ref() is not None for ref in orders))
+        made = real_streams(*args)
+        orders.extend(weakref.ref(order) for order, _ in made.values())
+        return made
 
     monkeypatch.setattr(shuffle_module, "_streams", streams)
     null_model_comparison(trace, TimeWindow(0, 40_000), 1, [ShuffleMode("ST1", 1)], replicates=3)

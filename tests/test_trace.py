@@ -112,6 +112,28 @@ def test_parse_gzip_by_magic_bytes():
     assert render_trace(result.trace) == SIX_RECORD_CSV
 
 
+def _gzip_with_name(data):
+    buffer = io.BytesIO()
+    with gzip.GzipFile(filename="trace.csv", mode="wb", fileobj=buffer, mtime=0) as f:
+        f.write(data)
+    return buffer.getvalue()
+
+
+_HALVES = (SIX_RECORD_CSV.encode()[:20], SIX_RECORD_CSV.encode()[20:])  # cut inside line 3
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(b"".join(map(gzip.compress, _HALVES)), id="two-members"),
+    pytest.param(gzip.compress(_HALVES[0]) + bytes(100) + gzip.compress(_HALVES[1]),
+                 id="zeros-between-members"),
+    pytest.param(gzip.compress(SIX_RECORD_CSV.encode()) + bytes(1000), id="zeros-after-last"),
+    pytest.param(gzip.compress(b"") + gzip.compress(SIX_RECORD_CSV.encode()), id="empty-first"),
+    pytest.param(_gzip_with_name(SIX_RECORD_CSV.encode()), id="header-with-fname"),
+])
+def test_gzip_members_and_padding_parse_as_plain(data):
+    assert parse_trace(data) == parse_trace(SIX_RECORD_CSV)
+
+
 def test_parse_sort_flag_sorts_by_timestamp():
     result = parse_trace("u1,f1,9\nu2,f2,3\nu3,f3,7", sort=True)
     assert result.trace.time_sorted
@@ -508,6 +530,57 @@ def test_gzip_input_parses_as_plain(data, block):
         assert _parse_outcome(gzip.compress(data)) == _parse_outcome(data)
 
 
+@pytest.mark.parametrize("test", [test_vectorized_route_matches_line_loop,
+                                  test_gzip_input_parses_as_plain])
+def test_parse_with_every_key_in_two_slots(monkeypatch, test):
+    # Two slots for any number of ids: nearly every block's keys collide, and
+    # the losers go to the sorted key table.
+    monkeypatch.setattr(trace_module, "_slot_bits", lambda count: 1)
+    test()
+
+
+@pytest.mark.parametrize("slot_bits", [None, 1], ids=["sized", "two-slots"])
+def test_line_loop_blocks_between_regular_blocks(monkeypatch, slot_bits):
+    # One line a block: regular blocks reuse ids of the line loop's blocks
+    # and of each other, and bring new ones, before and after the loop's.
+    if slot_bits is not None:
+        monkeypatch.setattr(trace_module, "_slot_bits", lambda count: slot_bits)
+    monkeypatch.setattr(trace_module, "READ_BLOCK", 1)
+    lines = [b"u1,i1,1", b"u2,i2,2", b"u1,i3,+3", b"u4,i1,4", b"u3,i3,5", b"uuuuuuuuu,i2,6",
+             b"u3,i4,7", b"u5,i1,8", b"u2,i5, 9", b"u5,i5,10", b"u6,i6,11", b"u1,i1,12"]
+    data = b"\n".join(lines) + b"\n"
+    taken = _routes_taken(monkeypatch)
+    outcome = _parse_outcome(data)
+    assert taken == [b"+" not in line and b" " not in line and not line.startswith(b"uuu")
+                     for line in lines]
+    assert outcome == _line_loop_outcome(data)
+    assert outcome[4] == list(range(1, 13))
+
+
+def test_known_keys_hit_the_slot_table(monkeypatch):
+    # Once a block has met its ids, a block of the same ids sends only the
+    # losers of slot collisions to the sorted key table: with at most half
+    # the slots filled, well under a quarter of its keys. The second block
+    # brings 30 users, too few to resize the table; they are put in their
+    # slots as they miss, so the block sends fewer keys when it comes again.
+    sent = []
+    real = trace_module._IdTable._sorted_block_codes
+
+    def spy(self, keys):
+        sent.append(len(keys))
+        return real(self, keys)
+
+    monkeypatch.setattr(trace_module._IdTable, "_sorted_block_codes", spy)
+    first, second = ("".join(f"u{100 + k % users},i{k % 89},{k}\n" for k in range(2000)).encode()
+                     for users in (97, 127))
+    monkeypatch.setattr(trace_module, "READ_BLOCK", len(first))
+    trace = parse_trace(first + first + second + second).trace
+    assert len(trace) == 8000 and len(trace.user_ids) == 127 and len(trace.item_ids) == 89
+    assert sent[:2] == [2000, 2000] and len(sent) == 8
+    assert max(sent[2:4]) < 2000 // 4
+    assert sent[6] < sent[4] and sent[7] <= sent[5]
+
+
 @pytest.fixture(scope="module")
 def big_trace_bytes():
     trace = generate_synthetic_trace(2000, 20000, 200_000, "zipf", seed=1)
@@ -542,8 +615,9 @@ def test_load_gzip_peak_memory_is_bounded(big_trace_bytes, tmp_path):
 
 def test_parse_long_id_peak_memory_is_bounded(big_trace_bytes):
     # One 100 kB id among the short ones sends its block to the line loop,
-    # and the peak rises to 8.4 MiB. Keys as wide as that id, one row per
-    # line of its block, would take about a gigabyte.
+    # and the peak rises to 8.7 MiB, the id tables' direct-mapped slots
+    # included. Keys as wide as that id, one row per line of its block,
+    # would take about a gigabyte.
     at = big_trace_bytes.index(b"\n", len(big_trace_bytes) // 2) + 1
     data = big_trace_bytes[:at] + b"u" * 100_000 + big_trace_bytes[big_trace_bytes.index(b",", at):]
     assert _traced_peak(lambda: parse_trace(data, sort=True)) < 9 * 2**20
