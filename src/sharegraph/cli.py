@@ -146,6 +146,10 @@ class _HashingReader:
         self._sha.update(data)
         return data
 
+    def fileno(self) -> int:
+        """The file's descriptor, off which the parse reads its size."""
+        return self._raw.fileno()
+
     def hexdigest(self) -> str:
         """The digest of the whole file, reading whatever is left unread."""
         while self.read(1 << 20):

@@ -28,6 +28,8 @@ to ``str`` in bulk (see _IdTable). Every other block, one with a longer id
 included, goes through the line loop, which decodes each line on its own
 and is the one definition of a valid line; the vectorized route takes only
 blocks that the loop would accept unchanged, so both give the same trace.
+The rows are appended to numpy columns, reserved at once for a large input
+whose size is known (see _Columns).
 
 In memory a trace is columnar: int32 user and item codes into id tables
 sorted in ``str`` order, and int64 timestamps. Code order is therefore id
@@ -38,7 +40,9 @@ from __future__ import annotations
 
 import functools
 import io
+import os
 import queue
+import stat
 import threading
 import zlib
 from array import array
@@ -95,10 +99,20 @@ def _sorted_codes(names: list[str], codes) -> tuple[tuple[str, ...], np.ndarray]
 
 
 def _ranked(order, codes) -> np.ndarray:
-    """``codes`` re-coded to their places in ``order``, a permutation of them."""
+    """``codes`` re-coded to their places in ``order``, a permutation of them.
+
+    The int32 view of ``codes`` is re-coded in place, a slice at a time, so
+    neither the parse's code columns nor a temporary of their size is
+    copied; every caller passes codes it owns.
+    """
     rank = np.empty(len(order), dtype=np.int32)
     rank[order] = np.arange(len(order), dtype=np.int32)
-    return rank[np.asarray(codes, dtype=np.int32)]
+    codes = np.asarray(codes, dtype=np.int32)
+    step = 1 << 16
+    for at in range(0, len(codes), step):
+        part = codes[at:at + step]
+        part[:] = rank[part]
+    return codes
 
 
 def _intern(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -607,6 +621,87 @@ def _decoded(keys: np.ndarray) -> list[str]:
     return rows[rows != 0].tobytes()[:-1].decode().split("\n")
 
 
+def _size_hint(data: bytes | BinaryIO, gz: bool) -> int:
+    """The input's length in bytes, inflated, if its end can be read at once; else 0.
+
+    That is the length of bytes or of a regular file, read off its
+    descriptor so that the file's position is kept, and for gzip input the
+    ISIZE field that ends its last member: the inflated length mod 2**32,
+    the whole input's for one member. It only sizes the columns (see
+    _Columns), so a wrong hint costs time or address space, not a result.
+    """
+    if isinstance(data, bytes):
+        size, tail = len(data), data[-4:]
+    else:
+        try:
+            fd = data.fileno()
+            info = os.fstat(fd)
+            if not stat.S_ISREG(info.st_mode):
+                return 0
+            size, tail = info.st_size, os.pread(fd, 4, max(info.st_size - 4, 0))
+        except (AttributeError, OSError, ValueError):
+            return 0
+    if gz:
+        return int.from_bytes(tail, "little") if len(tail) == 4 else 0
+    return size
+
+
+# The size from which glibc's malloc maps an allocation on its own, as the
+# library pins it (see sharegraph._pin_malloc_thresholds).
+_MAPPED = 2 << 20
+
+
+class _Columns:
+    """The parse's user codes, item codes and timestamps, grown a block at a time.
+
+    The columns are numpy buffers with room for more rows than they hold.
+    The first block with rows sizes them. From its rows per byte and
+    ``expected_bytes`` (see _size_hint; 0 when unknown), the rows of the
+    whole input are reserved at once if that makes each buffer at least
+    _MAPPED bytes. Such a buffer is a mapping of its own, whose pages become
+    resident only as rows fill them. So a large input's columns never pass
+    through the heap, where they would land by the heap's history and each
+    of their moves would leave a hole that stays resident. Rows past the
+    room grow the buffers by a sixteenth in place (``ndarray.resize``: a
+    realloc, for a mapping a mremap, which copies nothing).
+    """
+
+    def __init__(self, expected_bytes: int):
+        self._buffers = [np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32),
+                         np.empty(0, dtype=np.int64)]
+        self.count = 0
+        self._expected = expected_bytes
+        self._read = 0
+
+    def add(self, block: bytes, user_codes, item_codes, timestamps) -> None:
+        """Append the rows that ``block`` of the input gave, one array per column."""
+        self._read += len(block)
+        end = self.count + len(timestamps)
+        if end > len(self._buffers[0]):
+            room = end + (end >> 4)
+            if self.count:
+                for buffer in self._buffers:
+                    buffer.resize(room, refcheck=False)
+            else:  # nothing to keep: fresh buffers, whose pages no row has touched
+                expected = end * self._expected // self._read
+                try:  # reserved if every column's buffer is mapped, 4 bytes a row or 8
+                    self._fresh(max(room, expected) if expected * 4 >= _MAPPED else room)
+                except MemoryError:  # as a corrupt gzip trailer's ISIZE may ask
+                    self._fresh(room)
+        for buffer, rows in zip(self._buffers, (user_codes, item_codes, timestamps)):
+            buffer[self.count:end] = rows
+        self.count = end
+
+    def _fresh(self, rows: int) -> None:
+        self._buffers = [np.empty(rows, dtype=b.dtype) for b in self._buffers]
+
+    def columns(self) -> list[np.ndarray]:
+        """The three columns, each cut to its rows; ends the growth."""
+        for buffer in self._buffers:
+            buffer.resize(self.count, refcheck=False)
+        return self._buffers
+
+
 def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseResult:
     """Parse canonical trace CSV into a Trace.
 
@@ -649,25 +744,26 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
     magic = stream.read(2)
     if len(magic) == 1:  # a raw stream, a pipe say, may return less
         magic += stream.read(1)
-    if magic == _GZIP_MAGIC:
+    gz = magic == _GZIP_MAGIC
+    rows = _Columns(_size_hint(data, gz))
+    if gz:
         blocks = _blocks(_Gunzip(stream, magic).read, ahead=True)
     else:
         blocks = _blocks(functools.partial(stream.read, READ_BLOCK), ahead=False, head=magic)
 
     user_table, item_table = _IdTable(), _IdTable()
-    user_codes, item_codes, timestamps = array("i"), array("i"), array("q")
     rejected, data_lines, lineno = [], 0, 0
     for chunk in blocks:
         regular = _regular_block(chunk)
         if regular is not None:
             user_keys, item_keys, times = regular
-            user_codes.frombytes(user_table.block_codes(user_keys).view(np.uint8))
-            item_codes.frombytes(item_table.block_codes(item_keys).view(np.uint8))
-            timestamps.frombytes(times.view(np.uint8))
+            rows.add(chunk, user_table.block_codes(user_keys), item_table.block_codes(item_keys),
+                     times)
             lineno += len(times)
             data_lines += len(times)
             continue
         users, items = user_table.by_id(), item_table.by_id()
+        user_codes, item_codes, timestamps = array("i"), array("i"), array("q")
         lines = chunk.replace(b"\r\n", b"\n").split(b"\n")
         if chunk.endswith(b"\n"):
             lines.pop()
@@ -704,19 +800,20 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
             user_codes.append(users.setdefault(user_id, len(users)))
             item_codes.append(items.setdefault(item_id, len(items)))
             timestamps.append(timestamp)
+        rows.add(chunk, user_codes, item_codes, timestamps)
+        del user_codes, item_codes, timestamps  # copied: not held through later blocks
 
-    if data_lines > 0 and not timestamps:
+    if data_lines > 0 and not rows.count:
         raise TraceParseError(
             f"all {data_lines} data lines rejected; first: "
             f"line {rejected[0].line_number}: {rejected[0].reason}",
             diagnostics=rejected,
         )
 
+    user_codes, item_codes, timestamps = rows.columns()
     user_ids, user_codes = user_table.sorted_codes(user_codes)
     item_ids, item_codes = item_table.sorted_codes(item_codes)
-    # A view of the array's buffer, not a copy.
-    trace = Trace(user_ids, user_codes, item_ids, item_codes,
-                  np.frombuffer(timestamps, dtype=np.int64))
+    trace = Trace(user_ids, user_codes, item_ids, item_codes, timestamps)
     if sort:
         trace = trace.sorted_by_time()
     return ParseResult(trace=trace, rejected=tuple(rejected))

@@ -581,6 +581,67 @@ def test_known_keys_hit_the_slot_table(monkeypatch):
     assert sent[6] < sent[4] and sent[7] <= sent[5]
 
 
+@pytest.mark.parametrize("test", [test_vectorized_route_matches_line_loop,
+                                  test_gzip_input_parses_as_plain])
+def test_parse_with_columns_reserved_from_the_first_block(monkeypatch, test):
+    # Every parse reserves the rows that its first block's rows per byte
+    # predict, too many or too few, and grows from there.
+    monkeypatch.setattr(trace_module, "_MAPPED", 0)
+    test()
+
+
+def _fixed_width_lines(rows):
+    return b"".join(b"u%04d,i%05d,%07d\n" % (k % 5000, k % 30011, k) for k in range(rows))
+
+
+def _spy_fresh_buffers(monkeypatch):
+    sizes = []
+    real = trace_module._Columns._fresh
+
+    def spy(self, rows):
+        sizes.append(rows)
+        real(self, rows)
+
+    monkeypatch.setattr(trace_module._Columns, "_fresh", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_columns_are_reserved_once_from_the_input_size(monkeypatch, tmp_path, compress):
+    # Lines of one width: the first block's rows per byte and the input's
+    # size (the file's, or the ISIZE of its gzip trailer) give the row count
+    # exactly, so the columns are reserved once and never grow.
+    data = _fixed_width_lines(3000)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(gzip.compress(data) if compress else data)
+    monkeypatch.setattr(trace_module, "_MAPPED", 0)
+    monkeypatch.setattr(trace_module, "READ_BLOCK", 1000)
+    sizes = _spy_fresh_buffers(monkeypatch)
+    assert load_trace(path) == parse_trace(_ReadOnly(data))
+    assert parse_trace(path.read_bytes()) == parse_trace(_ReadOnly(data))
+    assert sizes[0] == sizes[2] == 3000 and sizes[1] < 100 and sizes[3] < 100
+
+
+def test_a_refused_reservation_falls_back_to_growth(monkeypatch):
+    # A corrupt gzip trailer's ISIZE may ask for rows the address space
+    # cannot hold. The parse goes on in small buffers and reports the
+    # corruption where zlib meets the trailer.
+    sizes = _spy_fresh_buffers(monkeypatch)
+    real = trace_module._Columns._fresh
+
+    def refuse_large(self, rows):
+        if rows > 10_000:
+            raise MemoryError
+        real(self, rows)
+
+    monkeypatch.setattr(trace_module._Columns, "_fresh", refuse_large)
+    monkeypatch.setattr(trace_module, "READ_BLOCK", 1000)
+    data = gzip.compress(_fixed_width_lines(3000))
+    with pytest.raises(TraceParseError, match="corrupt gzip input"):
+        parse_trace(data[:-4] + b"\xff\xff\xff\xff")
+    assert len(sizes) == 1 and sizes[0] < 100
+
+
 @pytest.fixture(scope="module")
 def big_trace_bytes():
     trace = generate_synthetic_trace(2000, 20000, 200_000, "zipf", seed=1)
