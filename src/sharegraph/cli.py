@@ -158,9 +158,7 @@ class _HashingReader:
 
 
 def _load_trace_arg(args) -> tuple[Trace, str]:
-    # Unbuffered, as load_trace opens it, so that closing it after an
-    # interrupt does not wait for a read of a stalled pipe.
-    with open(args.trace, "rb", buffering=0) as fh:
+    with open(args.trace, "rb") as fh:
         reader = _HashingReader(fh)
         result = parse_trace(reader, sort=True)
         digest = reader.hexdigest()

@@ -258,7 +258,7 @@ def scatter_rows(results: list[SweepCellResult]) -> list[list]:
     return rows
 
 
-def _ranked(counts: np.ndarray) -> list[int]:
+def _by_count(counts: np.ndarray) -> list[int]:
     """Codes with a non-zero count, by count descending, then code (id order)."""
     present = np.flatnonzero(counts)
     return present[np.argsort(-counts[present], kind="stable")].tolist()
@@ -267,14 +267,14 @@ def _ranked(counts: np.ndarray) -> list[int]:
 def popularity_rows(trace: Trace) -> list[list]:
     counts = np.bincount(trace.item_codes, minlength=len(trace.item_ids))
     return [[rank, trace.item_ids[c], int(counts[c])]
-            for rank, c in enumerate(_ranked(counts), start=1)]
+            for rank, c in enumerate(_by_count(counts), start=1)]
 
 
 def user_activity_rows(trace: Trace) -> list[list]:
     totals = np.bincount(trace.user_codes, minlength=len(trace.user_ids))
     distinct = np.bincount(trace.incidences()[1], minlength=len(trace.user_ids))
     return [[rank, trace.user_ids[c], int(totals[c]), int(distinct[c])]
-            for rank, c in enumerate(_ranked(totals), start=1)]
+            for rank, c in enumerate(_by_count(totals), start=1)]
 
 
 def degree_hist_rows(graph: DataSharingGraph) -> list[list]:

@@ -16,16 +16,19 @@ and how much reflects correlated user preferences.
 
 from __future__ import annotations
 
+import functools
 import math
+import queue
+import threading
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .dsg import build_dsg, weight_distribution
 from .errors import EmptyTraceError
 from .metrics import MetricsReport, small_world_report
-from .trace import TimeWindow, Trace, _Helper, _window_rows
+from .trace import TimeWindow, Trace, _window_rows
 
 VARIANTS = ("ST1", "ST2", "ST3")
 
@@ -154,6 +157,55 @@ def _row(source: str, replicate: int, seed: int | None, window_trace: Trace,
     )
 
 
+class _Helper:
+    """Calls made one at a time on a helper thread while the caller works.
+
+    ``submit(fn, *args)`` hands the helper one call, and ``result()`` returns
+    what that call returned or raises unchanged the exception it raised;
+    each ``submit`` is followed by one ``result``. The helper is a daemon
+    thread, started by ``with``.
+
+    Leaving the ``with`` block stops the helper, and this is the one join
+    rule. Left normally or on an ``Exception``, the block joins the helper
+    once the call in flight, if any, is done. Left on any other
+    ``BaseException`` (an interrupt or ``SystemExit``), it does not wait
+    for that call, a shuffle of a full column: the helper ends when the
+    call returns, and it does not hold up the interpreter's exit.
+    """
+
+    def __enter__(self) -> "_Helper":
+        self._calls, self._replies = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+        return self
+
+    def _serve(self) -> None:
+        while (call := self._calls.get()) is not None:
+            try:
+                reply = call(), None
+            except BaseException as exc:  # raised again by result, in the caller
+                reply = None, exc
+            # What the call was given is freed before the caller gets its
+            # reply, and the reply is not held while the helper waits.
+            del call
+            self._replies.put(reply)
+            del reply
+
+    def submit(self, fn: Callable, *args) -> None:
+        self._calls.put(functools.partial(fn, *args))
+
+    def result(self):
+        value, exc = self._replies.get()
+        if exc is not None:
+            raise exc
+        return value
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        self._calls.put(None)
+        if kind is None or issubclass(kind, Exception):
+            self._thread.join()
+
+
 def null_model_comparison(
     trace: Trace,
     window: TimeWindow | None,
@@ -172,8 +224,8 @@ def null_model_comparison(
     seed, recorded in its row.
 
     The next replicate's columns are shuffled on one helper thread (see
-    trace._Helper, which also reads gzip input ahead) while the current
-    graph is measured, so at most one replicate's orders are in flight.
+    _Helper) while the current graph is measured, so at most one
+    replicate's orders are in flight.
     For each column it permutes, the calling thread makes the order, an
     arange, and the helper only shuffles it in place, so that its allocator
     arena holds no blocks; the window's codes are then gathered through the

@@ -9,16 +9,9 @@ comments, blank lines are ignored, and gzip-compressed input is detected by
 its magic bytes. IDs are opaque tokens; they may not contain commas or
 newlines (the format could not carry them back out).
 
-The parse reads its input in blocks of whole lines. Plain input is read on
-the calling thread. Gzip input is inflated by one zlib call a block (see
-_Gunzip), made one read ahead on a helper thread (see _Helper, which the
-null model's shuffles use too). The read and the inflate release the
-interpreter lock, so on a free second core they run beside the caller's
-conversion of the block before; the rest of the helper's work waits for
-the lock, and on one core the inflate adds its whole time. The helper
-never outlives the parse, except that an interrupt while it waits on a
-stalled pipe is raised at once and leaves it in that read (see
-parse_trace). A regular block, one where every line is ``user,item,digits``
+The parse reads its input in blocks of whole lines, on the calling thread,
+and starts no thread. Gzip input is inflated by one zlib call a block (see
+_Gunzip). A regular block, one where every line is ``user,item,digits``
 with ids of 1 to 8 bytes (see _regular_block), is converted by whole numpy
 columns, a word at a time: each id is one unaligned 8-byte load, a key
 whose order is the ids' ``str`` order, and each timestamp one to three
@@ -41,9 +34,7 @@ from __future__ import annotations
 import functools
 import io
 import os
-import queue
 import stat
-import threading
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -95,10 +86,10 @@ class TimeWindow:
 def _sorted_codes(names: list[str], codes) -> tuple[tuple[str, ...], np.ndarray]:
     """Re-code ``codes``, which index the distinct ``names``, into ``names`` sorted."""
     order = sorted(range(len(names)), key=names.__getitem__)
-    return tuple(names[i] for i in order), _ranked(order, codes)
+    return tuple(names[i] for i in order), _recoded(order, codes)
 
 
-def _ranked(order, codes) -> np.ndarray:
+def _recoded(order, codes) -> np.ndarray:
     """``codes`` re-coded to their places in ``order``, a permutation of them.
 
     The int32 view of ``codes`` is re-coded in place, a slice at a time, so
@@ -244,56 +235,6 @@ class ParseResult:
     rejected: tuple[ParseDiagnostic, ...]
 
 
-class _Helper:
-    """Calls made one at a time on a helper thread while the caller works.
-
-    ``submit(fn, *args)`` hands the helper one call, and ``result()`` returns
-    what that call returned or raises unchanged the exception it raised;
-    each ``submit`` is followed by one ``result``. The helper is a daemon
-    thread, started by ``with``.
-
-    Leaving the ``with`` block stops the helper, and this is the one join
-    rule. Left normally or on an ``Exception``, the block joins the helper
-    once the call in flight, if any, is done. Left on any other
-    ``BaseException`` (an interrupt, ``SystemExit``, or the
-    ``GeneratorExit`` that closes a generator), it does not wait for that
-    call, which may be a read of a stalled pipe: the helper ends when the
-    call returns, and it does not hold up the interpreter's exit.
-    """
-
-    def __enter__(self) -> "_Helper":
-        self._calls, self._replies = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-        return self
-
-    def _serve(self) -> None:
-        while (call := self._calls.get()) is not None:
-            try:
-                reply = call(), None
-            except BaseException as exc:  # raised again by result, in the caller
-                reply = None, exc
-            # What the call was given is freed before the caller gets its
-            # reply, and the reply is not held while the helper waits.
-            del call
-            self._replies.put(reply)
-            del reply
-
-    def submit(self, fn: Callable, *args) -> None:
-        self._calls.put(functools.partial(fn, *args))
-
-    def result(self):
-        value, exc = self._replies.get()
-        if exc is not None:
-            raise exc
-        return value
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        self._calls.put(None)
-        if kind is None or issubclass(kind, Exception):
-            self._thread.join()
-
-
 class _Gunzip:
     """The inflated bytes of a gzip stream of one or more members.
 
@@ -339,35 +280,17 @@ class _Gunzip:
                 return out
 
 
-def _read_ahead(read: Callable[[], bytes]) -> Iterator[bytes]:
-    """``read()`` up to ``b""``, each call made on a helper one ahead.
-
-    The next call is submitted before a block is yielded, so the helper
-    reads while the caller works on the block. The helper is joined before
-    the last call's ``b""`` ends the iteration or a call's error is raised;
-    closing the generator mid-way does not wait for the call in flight
-    (see _Helper).
-    """
-    with _Helper() as helper:
-        helper.submit(read)
-        while block := helper.result():
-            helper.submit(read)
-            yield block
-
-
-def _blocks(read: Callable[[], bytes], ahead: bool, head: bytes = b"") -> Iterator[bytes]:
+def _blocks(read: Callable[[], bytes], head: bytes = b"") -> Iterator[bytes]:
     """``head``, then what ``read()`` returns up to ``b""``, in blocks of whole lines.
 
     Every block but the last ends at a ``\\n``: the unfinished line at the end
     of each read is carried into the next block. The last block is what
     follows the last ``\\n``, if anything does. The unfinished line is kept
     as the pieces read so far and only each new read is searched, so a line
-    of any length costs time linear in its length. With ``ahead`` the reads
-    are made on a helper thread (see _read_ahead), joined before the last
-    block is yielded or an error is raised.
+    of any length costs time linear in its length.
     """
     pieces = [head]
-    for block in _read_ahead(read) if ahead else iter(read, b""):
+    for block in iter(read, b""):
         cut = block.rfind(b"\n") + 1
         if not cut:
             pieces.append(block)
@@ -557,7 +480,7 @@ class _IdTable:
     def by_id(self) -> dict[str, int]:
         """Every id met so far and its code, in code order."""
         if self._by_id is None:
-            ids = _decoded(self.code_keys[:len(self.keys)])
+            ids = _key_ids(self.code_keys[:len(self.keys)])
             self._by_id = dict(zip(ids, range(len(ids))))
         return self._by_id
 
@@ -590,7 +513,7 @@ class _IdTable:
                 new_codes = np.arange(len(known), len(known) + len(new_keys), dtype=np.int32)
             else:
                 new_codes = np.array([table.setdefault(name, len(table))
-                                      for name in _decoded(new_keys)], dtype=np.int32)
+                                      for name in _key_ids(new_keys)], dtype=np.int32)
             codes[new] = new_codes
             self.keys = np.insert(known, at[new], new_keys)
             self.key_codes = np.insert(self.key_codes, at[new], new_codes)
@@ -606,10 +529,10 @@ class _IdTable:
         if self._by_id is not None and len(self._by_id) > len(self.keys):
             # The line loop met ids that have no key.
             return _sorted_codes(list(self._by_id), codes)
-        return tuple(_decoded(self.keys)), _ranked(self.key_codes, codes)
+        return tuple(_key_ids(self.keys)), _recoded(self.key_codes, codes)
 
 
-def _decoded(keys: np.ndarray) -> list[str]:
+def _key_ids(keys: np.ndarray) -> list[str]:
     """The ids of keys (see _regular_block), decoded at once."""
     if not len(keys):
         return []
@@ -720,22 +643,14 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
     line numbers. Ids are interned as they are read, so no per-record
     object is made.
 
-    Plain input is read on the calling thread and starts no thread. Gzip
-    input is inflated one read ahead on a helper thread (see _Gunzip and
-    _Helper). The helper never outlives the call: it is joined before the
-    call returns or raises, but for one case. An interrupt that arrives
-    while the helper waits on a stalled pipe is raised at once, without
-    waiting for that read; the helper, a daemon thread, ends when the read
-    returns and does not delay the interpreter's exit. Closing a buffered
-    file (``io.BufferedReader``) waits for a read in progress, so
-    ``load_trace`` and the command line open their file unbuffered.
+    The parse starts no thread; an interrupt during a read is raised at
+    once.
 
     Raises:
         TraceParseError: when gzip input is truncated or corrupt, or when at
             least one data line was present and every one of them was
             rejected. The exception carries the diagnostics.
-        OSError: as raised by a read of the input, unchanged, also when the
-            helper thread made that read.
+        OSError: as raised by a read of the input, unchanged.
     """
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
@@ -747,9 +662,9 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
     gz = magic == _GZIP_MAGIC
     rows = _Columns(_size_hint(data, gz))
     if gz:
-        blocks = _blocks(_Gunzip(stream, magic).read, ahead=True)
+        blocks = _blocks(_Gunzip(stream, magic).read)
     else:
-        blocks = _blocks(functools.partial(stream.read, READ_BLOCK), ahead=False, head=magic)
+        blocks = _blocks(functools.partial(stream.read, READ_BLOCK), head=magic)
 
     user_table, item_table = _IdTable(), _IdTable()
     rejected, data_lines, lineno = [], 0, 0
@@ -820,13 +735,8 @@ def parse_trace(data: str | bytes | BinaryIO, *, sort: bool = False) -> ParseRes
 
 
 def load_trace(path, *, sort: bool = False) -> ParseResult:
-    """Parse a trace file (plain or gzip) block by block as it is read.
-
-    The file is opened unbuffered: closing a buffered file waits for a read
-    in progress, and after an interrupt on gzip input the parse's helper
-    thread may still be reading a stalled pipe (see _Helper's join rule).
-    """
-    with open(path, "rb", buffering=0) as fh:
+    """Parse a trace file (plain or gzip) block by block as it is read."""
+    with open(path, "rb") as fh:
         return parse_trace(fh, sort=sort)
 
 

@@ -7,12 +7,40 @@ the fast implementations are checked against a different algorithm.
 
 from __future__ import annotations
 
+import gzip
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from sharegraph import DataSharingGraph, Graph, Trace
 from sharegraph.graph import symmetric_csr
+
+
+# ---------------------------------------------------------------------------
+# trace inputs
+
+SIX_RECORD_CSV = "u1,f1,0\nu1,f2,1\nu2,f2,2\nu2,f3,3\nu3,f1,4\nu3,f2,5\n"
+
+GZIP_TRACE = gzip.compress(SIX_RECORD_CSV.encode() * 20)
+
+# The same trace, corrupted in each way the parse reports as corrupt gzip input.
+CORRUPT_GZIP = [
+    pytest.param(GZIP_TRACE[:len(GZIP_TRACE) // 2], id="truncated"),
+    pytest.param(GZIP_TRACE[:10] + b"\xff" * 20, id="bad-deflate"),
+    pytest.param(GZIP_TRACE[:-8] + b"\0" * 8, id="bad-crc"),
+    pytest.param(GZIP_TRACE + b"garbage", id="trailing-garbage"),
+    pytest.param(GZIP_TRACE + b"\x1f", id="stray-magic-byte"),
+    pytest.param(GZIP_TRACE[:-4] + (len(SIX_RECORD_CSV) * 20 + 1).to_bytes(4, "little"),
+                 id="wrong-isize"),
+    pytest.param(GZIP_TRACE[:-3], id="truncated-trailer"),
+    pytest.param(GZIP_TRACE[:10], id="header-only"),
+    # Bytes that zlib checks in a member's header: its CRC when FHCRC (2)
+    # is set, and the reserved flag bits.
+    pytest.param(GZIP_TRACE[:3] + b"\x02" + GZIP_TRACE[4:10] + b"\0\0" + GZIP_TRACE[10:],
+                 id="bad-header-crc"),
+    pytest.param(GZIP_TRACE[:3] + b"\x20" + GZIP_TRACE[4:], id="reserved-flag"),
+]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharegraph import (
-    TimeWindow, Trace, TraceParseError, __version__, generate_synthetic_trace, load_trace,
-    parse_trace, pipeline, render_trace,
+    TimeWindow, Trace, __version__, generate_synthetic_trace, load_trace, pipeline,
+    render_trace,
 )
 import sharegraph.cli as cli_module
 from sharegraph.cli import EXIT_IO, EXIT_PARSE, EXIT_PRECONDITION, main
@@ -34,8 +34,7 @@ from sharegraph.pipeline import (
     metrics_rows,
     render_csv,
 )
-
-SIX_RECORD_CSV = "u1,f1,0\nu1,f2,1\nu2,f2,2\nu2,f3,3\nu3,f1,4\nu3,f2,5\n"
+from helpers import CORRUPT_GZIP, GZIP_TRACE, SIX_RECORD_CSV
 
 
 @pytest.fixture
@@ -143,11 +142,12 @@ def test_summary_reads_a_pipe(tmp_path, compress):
     assert manifest["input_sha256"] == hashlib.sha256(data).hexdigest()
 
 
-def test_interrupt_while_a_gzip_pipe_stalls_exits_at_once(tmp_path):
-    # The helper thread is left blocked on the pipe: neither it nor closing
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+def test_interrupt_while_a_pipe_stalls_exits_at_once(tmp_path, compress):
+    # The parse waits in a read of the pipe: neither that read nor closing
     # the file may hold up the exit.
-    trace = generate_synthetic_trace(500, 5000, 100_000, seed=3)
-    data = gzip.compress(render_trace(trace).encode())
+    data = render_trace(generate_synthetic_trace(500, 5000, 100_000, seed=3)).encode()
+    data = gzip.compress(data) if compress else data
     child = subprocess.Popen(
         [sys.executable, "-m", "sharegraph.cli", "summary", "/dev/stdin", "-o", str(tmp_path)],
         stdin=subprocess.PIPE, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -176,43 +176,12 @@ def test_unparseable_trace_exit(tmp_path):
     assert main(["summary", str(bad), "-o", str(tmp_path / "out")]) == EXIT_PARSE
 
 
-_GZIP_TRACE = gzip.compress(SIX_RECORD_CSV.encode() * 20)
-
-
-_CORRUPT_GZIP = [
-    pytest.param(_GZIP_TRACE[:len(_GZIP_TRACE) // 2], id="truncated"),
-    pytest.param(_GZIP_TRACE[:10] + b"\xff" * 20, id="bad-deflate"),
-    pytest.param(_GZIP_TRACE[:-8] + b"\0" * 8, id="bad-crc"),
-    pytest.param(_GZIP_TRACE + b"garbage", id="trailing-garbage"),
-    pytest.param(_GZIP_TRACE + b"\x1f", id="stray-magic-byte"),
-    pytest.param(_GZIP_TRACE[:-4] + (len(SIX_RECORD_CSV) * 20 + 1).to_bytes(4, "little"),
-                 id="wrong-isize"),
-    pytest.param(_GZIP_TRACE[:-3], id="truncated-trailer"),
-    pytest.param(_GZIP_TRACE[:10], id="header-only"),
-    # Bytes that zlib checks in a member's header: its CRC when FHCRC (2)
-    # is set, and the reserved flag bits.
-    pytest.param(_GZIP_TRACE[:3] + b"\x02" + _GZIP_TRACE[4:10] + b"\0\0" + _GZIP_TRACE[10:],
-                 id="bad-header-crc"),
-    pytest.param(_GZIP_TRACE[:3] + b"\x20" + _GZIP_TRACE[4:], id="reserved-flag"),
-]
-
-
-@pytest.mark.parametrize("data", _CORRUPT_GZIP)
+@pytest.mark.parametrize("data", CORRUPT_GZIP)
 def test_corrupt_gzip_parse_exit(tmp_path, capsys, data):
     bad = tmp_path / "bad.csv.gz"
     bad.write_bytes(data)
     assert main(["summary", str(bad), "-o", str(tmp_path / "out")]) == EXIT_PARSE
     assert "error: corrupt gzip input" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("data", [pytest.param(_GZIP_TRACE, id="good"), *_CORRUPT_GZIP])
-def test_gzip_parse_leaves_no_thread_running(data):
-    # Gzip input is inflated on a helper thread, joined before the parse
-    # returns or raises.
-    threads = threading.active_count()
-    with contextlib.suppress(TraceParseError):
-        parse_trace(data)
-    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
@@ -357,8 +326,8 @@ def test_sweep_worker_count_does_not_change_output(tmp_path):
 
 
 def test_sweep_workers_fork_after_a_gzip_load(tmp_path, monkeypatch):
-    # The parse inflates gzip input on a helper thread; a pool must not fork
-    # while it runs.
+    # A pool forks with only the threads that ran before the load: the parse
+    # leaves none behind.
     path = tmp_path / "web.csv.gz"
     path.write_bytes(gzip.compress(make_web_like_trace(tmp_path).read_bytes()))
     threads = set(threading.enumerate())
@@ -710,7 +679,7 @@ def test_nullmodel_rejects_unknown_mode(tmp_path, fixture_trace):
 
 # --- failed runs ---
 
-_EMPTY, _CORRUPT = "", _GZIP_TRACE[:len(_GZIP_TRACE) // 2]
+_EMPTY, _CORRUPT = "", GZIP_TRACE[:len(GZIP_TRACE) // 2]
 
 
 @pytest.mark.parametrize("data, argv, code", [

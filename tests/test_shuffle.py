@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import threading
+import time
 import weakref
 from collections import Counter
 
@@ -369,3 +371,61 @@ def test_no_modes_start_no_thread(monkeypatch):
     monkeypatch.setattr(threading, "Thread", refuse)
     got = null_model_comparison(trace, None, 1, [], replicates=3)
     assert [r.source for r in got.rows] == ["real"]
+
+
+# --- the helper thread's join rule ---
+
+def test_helper_result_raises_the_calls_exception_unchanged():
+    error = OSError(errno.EIO, "Input/output error")
+
+    def fail():
+        raise error
+
+    with shuffle_module._Helper() as helper:
+        helper.submit(fail)
+        with pytest.raises(OSError) as raised:
+            helper.result()
+        helper.submit(int, "7")
+        assert helper.result() == 7
+    assert raised.value is error
+
+
+def test_helper_left_on_an_exception_waits_for_the_call_in_flight():
+    started, finished = threading.Event(), []
+
+    def slow():
+        started.set()
+        time.sleep(0.2)
+        finished.append(True)
+
+    threads = threading.enumerate()
+    with pytest.raises(ValueError):
+        with shuffle_module._Helper() as helper:
+            helper.submit(slow)
+            assert started.wait(timeout=5)
+            raise ValueError
+    assert finished == [True]
+    assert threading.enumerate() == threads
+
+
+def test_helper_left_on_an_interrupt_does_not_wait_for_the_call_in_flight():
+    # The call in flight may be a long shuffle.
+    started, release = threading.Event(), threading.Event()
+
+    def blocked():
+        started.set()
+        release.wait(timeout=5)
+
+    threads = set(threading.enumerate())
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            with shuffle_module._Helper() as helper:
+                helper.submit(blocked)
+                assert started.wait(timeout=5)
+                raise KeyboardInterrupt
+        (thread,) = set(threading.enumerate()) - threads
+        assert thread.is_alive()
+    finally:
+        release.set()
+    thread.join(timeout=5)
+    assert not thread.is_alive()

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import gzip
 import io
@@ -29,9 +30,7 @@ from sharegraph import (
     window_slices,
 )
 import sharegraph.trace as trace_module
-from helpers import make_trace, trace_of
-
-SIX_RECORD_CSV = "u1,f1,0\nu1,f2,1\nu2,f2,2\nu2,f3,3\nu3,f1,4\nu3,f2,5\n"
+from helpers import CORRUPT_GZIP, GZIP_TRACE, SIX_RECORD_CSV, make_trace, trace_of
 
 
 # --- window validation ---
@@ -259,7 +258,7 @@ class _FailingAfter:
 
 @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
 def test_read_error_partway_is_raised_unchanged(monkeypatch, compress):
-    # On gzip input the failing read is made on the helper thread.
+    # On gzip input the failing read is made by the gzip reader.
     data = render_trace(generate_synthetic_trace(50, 200, 3000, seed=2)).encode()
     data = gzip.compress(data) if compress else data
     monkeypatch.setattr(trace_module, "READ_BLOCK", 1000)
@@ -273,76 +272,21 @@ def test_read_error_partway_is_raised_unchanged(monkeypatch, compress):
     assert threading.active_count() == threads
 
 
-def test_plain_input_starts_no_thread(monkeypatch, tmp_path):
-    # Only gzip input is read ahead on a helper thread.
+@pytest.mark.parametrize("data", [pytest.param(SIX_RECORD_CSV.encode(), id="plain"),
+                                  pytest.param(GZIP_TRACE, id="good"), *CORRUPT_GZIP])
+def test_parse_starts_no_thread(monkeypatch, tmp_path, data):
+    # Plain and gzip input, a corrupt one included, are read on the calling
+    # thread, from bytes and from a file.
     def refuse(*args, **kwargs):
         raise AssertionError("a thread was started")
 
-    path = tmp_path / "trace.csv"
-    path.write_text(SIX_RECORD_CSV)
+    path = tmp_path / "trace"
+    path.write_bytes(data)
     monkeypatch.setattr(threading, "Thread", refuse)
-    assert len(parse_trace(SIX_RECORD_CSV.encode()).trace) == 6
-    assert len(load_trace(path).trace) == 6
-    with pytest.raises(AssertionError, match="a thread was started"):
-        parse_trace(gzip.compress(SIX_RECORD_CSV.encode()))
-
-
-# --- the helper thread ---
-
-def test_helper_result_raises_the_calls_exception_unchanged():
-    error = OSError(errno.EIO, "Input/output error")
-
-    def fail():
-        raise error
-
-    with trace_module._Helper() as helper:
-        helper.submit(fail)
-        with pytest.raises(OSError) as raised:
-            helper.result()
-        helper.submit(int, "7")
-        assert helper.result() == 7
-    assert raised.value is error
-
-
-def test_helper_left_on_an_exception_waits_for_the_call_in_flight():
-    started, finished = threading.Event(), []
-
-    def slow():
-        started.set()
-        time.sleep(0.2)
-        finished.append(True)
-
-    threads = threading.enumerate()
-    with pytest.raises(ValueError):
-        with trace_module._Helper() as helper:
-            helper.submit(slow)
-            assert started.wait(timeout=5)
-            raise ValueError
-    assert finished == [True]
-    assert threading.enumerate() == threads
-
-
-def test_helper_left_on_an_interrupt_does_not_wait_for_the_call_in_flight():
-    # The call in flight may be a read of a stalled pipe.
-    started, release = threading.Event(), threading.Event()
-
-    def blocked():
-        started.set()
-        release.wait(timeout=5)
-
-    threads = set(threading.enumerate())
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            with trace_module._Helper() as helper:
-                helper.submit(blocked)
-                assert started.wait(timeout=5)
-                raise KeyboardInterrupt
-        (thread,) = set(threading.enumerate()) - threads
-        assert thread.is_alive()
-    finally:
-        release.set()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    good = data in (SIX_RECORD_CSV.encode(), GZIP_TRACE)
+    for parse, source in ((parse_trace, data), (load_trace, path)):
+        with contextlib.nullcontext() if good else pytest.raises(TraceParseError):
+            parse(source)
 
 
 # --- the vectorized route for regular blocks ---
@@ -523,8 +467,8 @@ def test_vectorized_route_matches_line_loop(data, block):
 @given(_lines_bytes, st.integers(min_value=1, max_value=64))
 @settings(max_examples=200, deadline=None)
 def test_gzip_input_parses_as_plain(data, block):
-    # Gzip input is read on a helper thread; small blocks make many
-    # hand-overs, with reads ending mid-line and mid-UTF-8 sequence.
+    # Small blocks make many reads of the gzip reader, ending mid-line and
+    # mid-UTF-8 sequence.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trace_module, "READ_BLOCK", block)
         assert _parse_outcome(gzip.compress(data)) == _parse_outcome(data)
