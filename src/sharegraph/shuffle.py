@@ -16,19 +16,16 @@ and how much reflects correlated user preferences.
 
 from __future__ import annotations
 
-import functools
 import math
-import queue
-import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .dsg import build_dsg, weight_distribution
 from .errors import EmptyTraceError
 from .metrics import MetricsReport, small_world_report
-from .trace import TimeWindow, Trace, _window_rows
+from .trace import TimeWindow, Trace, slice_window
 
 VARIANTS = ("ST1", "ST2", "ST3")
 
@@ -48,62 +45,32 @@ class ShuffleMode:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
-def _streams(trace: Trace, mode: ShuffleMode) -> dict[str, tuple[np.ndarray, np.random.SeedSequence]]:
-    """The code columns a mode permutes: by column name, ``arange(len(trace))`` and its stream.
-
-    ST1 spawns two independent streams from the seed, one per column; ST2
-    and ST3 permute one column with the seed's own stream.
-    """
-    root = np.random.SeedSequence(mode.seed)
-    if mode.variant == "ST1":
-        user_seq, item_seq = root.spawn(2)
-        return {"user_codes": (np.arange(len(trace)), user_seq),
-                "item_codes": (np.arange(len(trace)), item_seq)}
-    return {"user_codes" if mode.variant == "ST2" else "item_codes": (np.arange(len(trace)), root)}
-
-
-def _shuffle(order: np.ndarray, seed_seq: np.random.SeedSequence) -> None:
-    # In place, rng.permutation(len(order)) out of an arange: numpy shuffles
-    # 8-byte items on its fast path, which the int32 code columns miss.
-    np.random.default_rng(seed_seq).shuffle(order)
-
-
-def _shuffle_all(streams: dict[str, tuple[np.ndarray, np.random.SeedSequence]]) -> None:
-    """Shuffle each order of ``_streams``'s output in place with its own stream."""
-    for order, seed_seq in streams.values():
-        _shuffle(order, seed_seq)
-
-
-def _permuted(trace: Trace, streams: dict[str, tuple[np.ndarray, np.random.SeedSequence]],
-              rows: slice | np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Each shuffled column's codes at ``rows`` (all rows for None), by column name.
-
-    Column ``name`` shuffled is ``getattr(trace, name)[order]``: the swaps
-    that made ``order`` out of an arange, made on the column. Only the
-    window's rows are gathered, so no full column is copied for a window.
-    """
-    return {name: getattr(trace, name)[order if rows is None else order[rows]]
-            for name, (order, _) in streams.items()}
-
-
-def _with_codes(trace: Trace, codes: dict[str, np.ndarray]) -> Trace:
-    """The trace with the code columns named in ``codes`` replaced."""
-    return Trace(trace.user_ids, codes.get("user_codes", trace.user_codes),
-                 trace.item_ids, codes.get("item_codes", trace.item_codes), trace.timestamps)
-
-
 def shuffle_trace(trace: Trace, mode: ShuffleMode) -> Trace:
     """Return the seeded column permutation of a trace.
 
     The time column is never moved, so row order (and time-sortedness) is
     preserved. ST1 derives two independent streams from the seed, one per
-    permuted column. Only code columns move; the id tables are shared.
+    permuted column; ST2 and ST3 use the seed's own stream. Only code
+    columns move; the id tables are shared.
     """
     if not len(trace):
         raise EmptyTraceError("cannot shuffle an empty trace")
-    streams = _streams(trace, mode)
-    _shuffle_all(streams)
-    return _with_codes(trace, _permuted(trace, streams))
+    root = np.random.SeedSequence(mode.seed)
+    if mode.variant == "ST1":
+        streams = root.spawn(2)
+    else:
+        streams = [root, None] if mode.variant == "ST2" else [None, root]
+    columns = [trace.user_codes, trace.item_codes]
+    for k, stream in enumerate(streams):
+        if stream is not None:
+            # The column's swaps are made on an arange and the column gathered
+            # through it: numpy shuffles 8-byte items on its fast path, which
+            # the int32 code columns miss.
+            order = np.arange(len(trace))
+            np.random.default_rng(stream).shuffle(order)
+            columns[k] = columns[k][order]
+            del order
+    return Trace(trace.user_ids, columns[0], trace.item_ids, columns[1], trace.timestamps)
 
 
 def replicate_seed(master_seed: int, replicate: int) -> int:
@@ -157,55 +124,6 @@ def _row(source: str, replicate: int, seed: int | None, window_trace: Trace,
     )
 
 
-class _Helper:
-    """Calls made one at a time on a helper thread while the caller works.
-
-    ``submit(fn, *args)`` hands the helper one call, and ``result()`` returns
-    what that call returned or raises unchanged the exception it raised;
-    each ``submit`` is followed by one ``result``. The helper is a daemon
-    thread, started by ``with``.
-
-    Leaving the ``with`` block stops the helper, and this is the one join
-    rule. Left normally or on an ``Exception``, the block joins the helper
-    once the call in flight, if any, is done. Left on any other
-    ``BaseException`` (an interrupt or ``SystemExit``), it does not wait
-    for that call, a shuffle of a full column: the helper ends when the
-    call returns, and it does not hold up the interpreter's exit.
-    """
-
-    def __enter__(self) -> "_Helper":
-        self._calls, self._replies = queue.SimpleQueue(), queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-        return self
-
-    def _serve(self) -> None:
-        while (call := self._calls.get()) is not None:
-            try:
-                reply = call(), None
-            except BaseException as exc:  # raised again by result, in the caller
-                reply = None, exc
-            # What the call was given is freed before the caller gets its
-            # reply, and the reply is not held while the helper waits.
-            del call
-            self._replies.put(reply)
-            del reply
-
-    def submit(self, fn: Callable, *args) -> None:
-        self._calls.put(functools.partial(fn, *args))
-
-    def result(self):
-        value, exc = self._replies.get()
-        if exc is not None:
-            raise exc
-        return value
-
-    def __exit__(self, kind, exc, traceback) -> None:
-        self._calls.put(None)
-        if kind is None or issubclass(kind, Exception):
-            self._thread.join()
-
-
 def null_model_comparison(
     trace: Trace,
     window: TimeWindow | None,
@@ -221,51 +139,23 @@ def null_model_comparison(
     The full trace is shuffled (so column marginals are preserved globally),
     then the window is sliced and the graph built exactly as for the real
     trace. Each (mode, replicate) pair gets a seed derived from the mode's
-    seed, recorded in its row.
-
-    The next replicate's columns are shuffled on one helper thread (see
-    _Helper) while the current graph is measured, so at most one
-    replicate's orders are in flight.
-    For each column it permutes, the calling thread makes the order, an
-    arange, and the helper only shuffles it in place, so that its allocator
-    arena holds no blocks; the window's codes are then gathered through the
-    order, and no full code column is copied. The rows are those of
-    ``shuffle_trace`` and ``slice_window`` run one replicate after another;
-    there is no option to turn the helper off.
-    It is started only when there are replicates. It is joined before this
-    returns or raises an ``Exception``, once the shuffle in flight is done;
-    an interrupt is raised without waiting for that shuffle.
+    seed, recorded in its row. Replicates are shuffled and measured one
+    after another, and each one's trace is freed once its row is made.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if not len(trace):
         raise EmptyTraceError("cannot compare an empty trace")
 
-    rows_of = None if window is None else _window_rows(trace, window)
-    real = trace if rows_of is None else trace._take(rows_of)
-    shuffles = [(mode.variant, r, replicate_seed(mode.seed, r))
-                for mode in modes for r in range(replicates)]
-
     def measured(source: str, replicate: int, seed: int | None, t: Trace) -> NullModelRow:
+        if window is not None:
+            t = slice_window(t, window)
         return _row(source, replicate, seed, t, threshold, sample_fraction, path_seed)
 
-    if not shuffles:
-        return NullModelComparison(rows=(measured("real", 0, None, real),))
-
-    def requested(k: int) -> dict[str, tuple[np.ndarray, np.random.SeedSequence]]:
-        variant, _, seed = shuffles[k]
-        streams = _streams(trace, ShuffleMode(variant, seed))
-        helper.submit(_shuffle_all, streams)
-        return streams
-
-    with _Helper() as helper:
-        streams = requested(0)
-        rows = [measured("real", 0, None, real)]
-        for k, (variant, r, seed) in enumerate(shuffles):
-            helper.result()
-            codes = _permuted(trace, streams, rows_of)
-            del streams  # a window's full orders go before the next replicate's are made
-            if k + 1 < len(shuffles):
-                streams = requested(k + 1)
-            rows.append(measured(variant, r, seed, _with_codes(real, codes)))
+    rows = [measured("real", 0, None, trace)]
+    for mode in modes:
+        for r in range(replicates):
+            seed = replicate_seed(mode.seed, r)
+            rows.append(measured(mode.variant, r, seed,
+                                 shuffle_trace(trace, ShuffleMode(mode.variant, seed))))
     return NullModelComparison(rows=tuple(rows))

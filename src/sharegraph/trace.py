@@ -788,21 +788,16 @@ def window_slices(trace: Trace, length: int, origin: int = 0) -> list[tuple[Time
     ]
 
 
-def _window_rows(trace: Trace, window: TimeWindow) -> slice | np.ndarray:
-    """The rows inside the window: an index range on a time-sorted trace, else a mask."""
-    if trace.time_sorted:
-        lo, hi = _rows_before(trace, [window.start, window.end])
-        return slice(lo, hi)
-    t = trace.timestamps
-    return (t >= window.start) & (t < window.end)
-
-
 def slice_window(trace: Trace, window: TimeWindow) -> Trace:
     """Keep only the records whose timestamps fall inside the window.
 
     On a time-sorted trace this is an index range found by binary search.
     """
-    return trace._take(_window_rows(trace, window))
+    if trace.time_sorted:
+        lo, hi = _rows_before(trace, [window.start, window.end])
+        return trace._take(slice(lo, hi))
+    t = trace.timestamps
+    return trace._take((t >= window.start) & (t < window.end))
 
 
 def generate_synthetic_trace(

@@ -8,6 +8,7 @@ the fast implementations are checked against a different algorithm.
 from __future__ import annotations
 
 import gzip
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -305,3 +306,17 @@ def random_trace(rng: np.random.Generator, users: int, items: int,
         )
     )
     return trace_of((u, i, t) for t, u, i in rows)
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+def traced_peak(step):
+    """The result of step() and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -1,7 +1,6 @@
 import math
 import random
 import statistics
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -25,6 +24,7 @@ from helpers import (
     oracle_dsg_edges,
     random_trace,
     trace_of,
+    traced_peak,
     weighted_edges,
 )
 
@@ -181,17 +181,6 @@ def test_more_users_than_sixteen_bits_hold():
     assert g.at_threshold(2).nodes == ("u69998", "u69999")
 
 
-def _traced_peak(step):
-    """The result of step() and the peak of memory traced while it ran."""
-    tracemalloc.start()
-    try:
-        result = step()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 @pytest.mark.parametrize("threshold", [1, 2])
 def test_build_peaks_below_three_times_its_result(threshold):
     # The build holds its result, one run of rows and arrays over the
@@ -199,7 +188,7 @@ def test_build_peaks_below_three_times_its_result(threshold):
     # (E = 329k) and at threshold 2 (E = 107k), where counting item by item
     # and merging the runs at the end took 4.4x and 9.9x.
     trace = generate_synthetic_trace(1000, 10000, 10000, "zipf", seed=1)
-    g, peak = _traced_peak(lambda: build_dsg(trace, threshold))
+    g, peak = traced_peak(lambda: build_dsg(trace, threshold))
     assert g.edge_count > 0
     assert peak < 3 * (g.indices.nbytes + g.weights.nbytes)
 
@@ -208,7 +197,7 @@ def test_at_threshold_peaks_near_its_result():
     # The cut reads row offsets: the measured peak was 667 KiB where cutting
     # through an entry-row array of the base graph took 6,426 KiB.
     base = build_dsg(generate_synthetic_trace(800, 3000, 12000, "zipf", seed=1), 1)
-    g, peak = _traced_peak(lambda: base.at_threshold(5))
+    g, peak = traced_peak(lambda: base.at_threshold(5))
     assert g.edge_count > 0
     result = g.indptr.nbytes + g.indices.nbytes + g.weights.nbytes
     assert peak < 2 * result + 2 * len(base.indices)
@@ -220,7 +209,7 @@ def test_largest_component_cut_peaks_below_two_and_a_half_times_its_result():
     trace = generate_synthetic_trace(800, 3000, 12000, "zipf", seed=1)
     pair = [(user, "item-of-the-pair", 0) for user in ("pair-a", "pair-b")]
     base = build_dsg(trace_of([*trace.records, *pair]), 1)
-    (count, g), peak = _traced_peak(base.largest_component)
+    (count, g), peak = traced_peak(base.largest_component)
     assert count == 2 and g.node_count == base.node_count - 2
     assert peak < 2.5 * (g.indptr.nbytes + g.indices.nbytes)
 

@@ -1,7 +1,5 @@
-import errno
 import hashlib
 import threading
-import time
 import weakref
 from collections import Counter
 
@@ -27,7 +25,7 @@ from sharegraph import (
 from sharegraph import shuffle as shuffle_module
 from sharegraph.pipeline import NULLMODEL_COLUMNS, nullmodel_rows, render_csv
 from sharegraph.shuffle import NullModelComparison, replicate_seed
-from helpers import edge_weights, make_trace, random_trace, trace_of
+from helpers import edge_weights, make_trace, random_trace, trace_of, traced_peak
 
 
 def columns(trace):
@@ -230,7 +228,7 @@ def test_uniform_trace_statistically_indistinguishable_from_shuffles():
     assert abs(real - mean) <= band
 
 
-# --- the next replicate shuffled on a helper thread ---
+# --- the comparison against its serial oracle ---
 
 def serial_comparison(trace, window, threshold, modes, replicates):
     """The rows of shuffle_trace and slice_window, one replicate after another."""
@@ -273,63 +271,49 @@ def test_overlapped_rows_equal_the_serial_oracle(case):
     assert rendered(got) == rendered(want)
 
 
-def test_next_replicate_is_shuffled_off_the_main_thread_while_one_is_measured(monkeypatch):
-    # Each row waits until the first shuffle of the next replicate has
-    # started, so it records whether that replicate was already requested.
-    trace = generate_synthetic_trace(20, 30, 500, seed=3)
-    modes = [ShuffleMode("ST1", 4), ShuffleMode("ST2", 5), ShuffleMode("ST1", 4)]
-    replicates = 2
-    per_replicate = [2 if m.variant == "ST1" else 1 for m in modes for _ in range(replicates)]
-    changed = threading.Condition()
-    shuffles = []  # the thread of each shuffle, in the order they started
-    ahead = []  # for each row but the last, whether the next replicate was requested
-
-    real_shuffle, real_row = shuffle_module._shuffle, shuffle_module._row
-
-    def shuffle(codes, seed_seq):
-        with changed:
-            shuffles.append(threading.current_thread())
-            changed.notify_all()
-        real_shuffle(codes, seed_seq)
-
-    def row(*args):
-        k = len(ahead)
-        if k < len(per_replicate):
-            needed = sum(per_replicate[:k]) + 1
-            with changed:
-                ahead.append(changed.wait_for(lambda: len(shuffles) >= needed, timeout=5))
-        else:
-            ahead.append(None)
-        return real_row(*args)
-
-    monkeypatch.setattr(shuffle_module, "_shuffle", shuffle)
-    monkeypatch.setattr(shuffle_module, "_row", row)
-    got = null_model_comparison(trace, None, 1, modes, replicates=replicates)
-    monkeypatch.undo()
-
-    assert ahead == [True] * len(per_replicate) + [None]
-    assert len(shuffles) == sum(per_replicate)
-    assert threading.main_thread() not in shuffles
-    assert rendered(got) == rendered(serial_comparison(trace, None, 1, modes, replicates))
-
-
 def test_a_replicates_full_columns_are_freed_before_the_next_is_copied(monkeypatch):
-    # The full-length buffers of a replicate are its columns' orders; the
-    # window's codes are gathered through them, so they go before the next
-    # replicate's are made.
+    # A sorted window's columns are views of its shuffled trace's full
+    # columns, so those live until its row is made, and no longer.
     trace = generate_synthetic_trace(20, 30, 500, seed=3)
-    orders, alive = [], []  # weak references; full orders alive as each replicate's are made
-    real_streams = shuffle_module._streams
+    columns, alive = [], []  # weak references; full columns alive as each replicate is shuffled
+    real_shuffle_trace = shuffle_module.shuffle_trace
 
-    def streams(*args):
-        alive.append(sum(ref() is not None for ref in orders))
-        made = real_streams(*args)
-        orders.extend(weakref.ref(order) for order, _ in made.values())
-        return made
+    def shuffle_trace(*args):
+        alive.append(sum(ref() is not None for ref in columns))
+        shuffled = real_shuffle_trace(*args)
+        columns.extend(weakref.ref(c) for c in (shuffled.user_codes, shuffled.item_codes))
+        return shuffled
 
-    monkeypatch.setattr(shuffle_module, "_streams", streams)
+    monkeypatch.setattr(shuffle_module, "shuffle_trace", shuffle_trace)
     null_model_comparison(trace, TimeWindow(0, 40_000), 1, [ShuffleMode("ST1", 1)], replicates=3)
     assert alive == [0, 0, 0]
+    assert len(columns) == 6
+
+
+def test_more_replicates_peak_no_higher_than_one():
+    # One mode given three times makes three equal replicates, so anything
+    # of one replicate kept while the next is made or measured raises the
+    # peak. In the window each request is its user's only one, for an item
+    # no one else requests, so the real graph is empty; shuffled, the window
+    # draws the 300 users and 100 items requested over and over after it,
+    # and measuring its graph outweighs shuffling: 0.8 MB of int32 codes
+    # and an 0.8 MB int64 order per column. Shuffling the next replicate
+    # while one is measured (two orders, 1.6 MB) fails this.
+    rng = np.random.default_rng(1)
+    inside, after = 10_000, 90_000
+
+    def column(prefix, heavy):
+        ids = tuple(f"{prefix}{k:06d}" for k in range(inside + heavy))
+        codes = np.concatenate([np.arange(inside), inside + rng.integers(0, heavy, after)])
+        return ids, codes.astype(np.int32)
+
+    trace = Trace(*column("u", 300), *column("i", 100), np.arange(inside + after))
+
+    def peak(copies):
+        return traced_peak(lambda: null_model_comparison(
+            trace, TimeWindow(0, inside), 1, [ShuffleMode("ST1", 1)] * copies, replicates=1))[1]
+
+    assert peak(3) < peak(1) + 64 * 1024
 
 
 class Refused(Exception):
@@ -337,16 +321,15 @@ class Refused(Exception):
 
 
 @pytest.mark.parametrize("where, at", [
-    pytest.param("row", 3, id="row"),
-    pytest.param("shuffle", 3, id="shuffle"),
-    # The real window is measured while replicate 1's shuffle is in flight.
-    pytest.param("row", 1, id="first-row"),
+    pytest.param("_row", 3, id="row"),
+    pytest.param("shuffle_trace", 3, id="shuffle"),
+    pytest.param("_row", 1, id="first-row"),  # the real window's row
 ])
 def test_an_exception_reaches_the_caller_and_no_thread_is_left(monkeypatch, where, at):
     trace = generate_synthetic_trace(20, 30, 500, seed=3)
     refused = Refused(where)
     calls = []
-    real = getattr(shuffle_module, f"_{where}")
+    real = getattr(shuffle_module, where)
 
     def failing(*args):
         calls.append(args)
@@ -354,7 +337,7 @@ def test_an_exception_reaches_the_caller_and_no_thread_is_left(monkeypatch, wher
             raise refused
         return real(*args)
 
-    monkeypatch.setattr(shuffle_module, f"_{where}", failing)
+    monkeypatch.setattr(shuffle_module, where, failing)
     threads = threading.enumerate()
     with pytest.raises(Refused) as raised:
         null_model_comparison(trace, TimeWindow(0, 40_000), 1,
@@ -364,68 +347,14 @@ def test_an_exception_reaches_the_caller_and_no_thread_is_left(monkeypatch, wher
 
 
 def test_no_modes_start_no_thread(monkeypatch):
+    # Nor do modes and replicates: the comparison runs on the calling thread.
     def refuse(*args, **kwargs):
-        raise AssertionError("a thread was started with no replicates to shuffle")
+        raise AssertionError("the null model started a thread")
 
     trace = generate_synthetic_trace(20, 30, 500, seed=3)
     monkeypatch.setattr(threading, "Thread", refuse)
     got = null_model_comparison(trace, None, 1, [], replicates=3)
     assert [r.source for r in got.rows] == ["real"]
-
-
-# --- the helper thread's join rule ---
-
-def test_helper_result_raises_the_calls_exception_unchanged():
-    error = OSError(errno.EIO, "Input/output error")
-
-    def fail():
-        raise error
-
-    with shuffle_module._Helper() as helper:
-        helper.submit(fail)
-        with pytest.raises(OSError) as raised:
-            helper.result()
-        helper.submit(int, "7")
-        assert helper.result() == 7
-    assert raised.value is error
-
-
-def test_helper_left_on_an_exception_waits_for_the_call_in_flight():
-    started, finished = threading.Event(), []
-
-    def slow():
-        started.set()
-        time.sleep(0.2)
-        finished.append(True)
-
-    threads = threading.enumerate()
-    with pytest.raises(ValueError):
-        with shuffle_module._Helper() as helper:
-            helper.submit(slow)
-            assert started.wait(timeout=5)
-            raise ValueError
-    assert finished == [True]
-    assert threading.enumerate() == threads
-
-
-def test_helper_left_on_an_interrupt_does_not_wait_for_the_call_in_flight():
-    # The call in flight may be a long shuffle.
-    started, release = threading.Event(), threading.Event()
-
-    def blocked():
-        started.set()
-        release.wait(timeout=5)
-
-    threads = set(threading.enumerate())
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            with shuffle_module._Helper() as helper:
-                helper.submit(blocked)
-                assert started.wait(timeout=5)
-                raise KeyboardInterrupt
-        (thread,) = set(threading.enumerate()) - threads
-        assert thread.is_alive()
-    finally:
-        release.set()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+    got = null_model_comparison(trace, TimeWindow(0, 40_000), 1,
+                                [ShuffleMode("ST1", 1), ShuffleMode("ST3", 2)], replicates=2)
+    assert [r.source for r in got.rows] == ["real", "ST1", "ST1", "ST3", "ST3"]
