@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import BLOCK, Graph, _kept_nodes, _readonly, drop_empty_rows, symmetric_csr
-from .trace import Trace
+from .trace import Trace, _run_starts
 
 
 class DataSharingGraph(Graph):
@@ -71,37 +71,46 @@ class WeightDistribution:
     median: float
 
 
-def _row_counts(item: np.ndarray, user: np.ndarray, n_users: int, threshold: int):
-    """(a, b, count) of the user pairs a < b sharing >= ``threshold`` items, sorted by (a, b).
+def _row_counts(item: np.ndarray, user_code: np.ndarray, threshold: int):
+    """The distinct user codes, and (a, b, count) of the pairs a < b of their
+    indices sharing >= ``threshold`` items, sorted by (a, b).
 
-    ``item`` and ``user`` list the distinct (item, user) incidences by item,
-    then user. Row a of the upper triangle of the user x user product holds,
-    for every later user b who requested one of a's items, the number of
-    items both requested: Gustavson's row-wise sparse product, restricted to
-    one triangle as BLAS ``xSYRK`` computes one triangle of A * A^T. Taken in
-    user order, each incidence pairs its user with the incidences that follow
-    it in its item's run, the item's later users, so each unordered pair is
-    expanded once. Rows are taken whole in runs of at most BLOCK pairs (one
-    row, if it alone has more), and each run's keys (a << s) | b are sorted,
-    counted and thresholded there. So every run's counts are final and the
-    runs follow one another in key order. Keys are uint32 with s = 16 when
-    the users fit in 16 bits, else uint64 with s = 32; a and b come back in
-    the matching uint16 or uint32. Apart from the result and the
-    per-incidence columns, no temporary array holds more than one run's
-    pairs.
+    ``item`` and ``user_code`` list the distinct (item, user) incidences by
+    item, then user. Row a of the upper triangle of the user x user product
+    holds, for every later user b who requested one of a's items, the number
+    of items both requested: Gustavson's row-wise sparse product, restricted
+    to one triangle as BLAS ``xSYRK`` computes one triangle of A * A^T. One
+    in-place sort of the uint64 words (user code << 32) | incidence position
+    orders the incidences by user, and so gives the users and each one's
+    index. In that order each incidence pairs its user with the item's later
+    users, the incidences after it in its item's run, so each pair is
+    expanded once. Whole rows are taken in runs of at most BLOCK pairs (one
+    row, if it alone has more); each run's keys (a << s) | b are sorted in
+    place, counted and thresholded, so the runs' counts are final and in key
+    order. Keys are uint32 with s = 16 when the users fit in 16 bits, else
+    uint64 with s = 32; a and b come back as uint16 or uint32. Codes and
+    incidences number below 2^32. Beyond the result and the per-incidence
+    columns, no temporary array holds more than one run's pairs.
     """
-    wide = n_users > 1 << 16
+    by_user = user_code.astype(np.uint64) << np.uint64(32)
+    by_user |= np.arange(len(item), dtype=np.uint64)
+    by_user.sort()
+    order = (by_user & np.uint64(0xFFFFFFFF)).astype(np.intp)  # incidences in user order
+    by_user >>= np.uint64(32)
+    first = _run_starts(by_user)
+    codes = by_user[first]
+    wide = len(codes) > 1 << 16
     key_type, user_type, shift = (np.uint64, np.uint32, 32) if wide else (np.uint32, np.uint16, 16)
-    later = np.searchsorted(item, item, side="right") - np.arange(len(item)) - 1
-    order = np.argsort(user, kind="stable")
-    later = later[order]
-    low = user.astype(key_type)
-    high = low[order] << key_type(shift)
-    bound = np.searchsorted(user[order], np.arange(n_users + 1))  # where each row starts
+    high = np.cumsum(first, dtype=key_type) - key_type(1)  # user index, in user order
+    low = np.empty_like(high)
+    low[order] = high  # user index, in item order
+    high <<= key_type(shift)
+    later = (np.searchsorted(item, item, side="right") - np.arange(len(item)) - 1)[order]
+    bound = np.append(np.flatnonzero(first), len(item))  # where each row starts
     done = np.concatenate(([0], np.cumsum(later)))[bound]  # pairs of the rows before each row
     keys, counts = [np.zeros(0, key_type)], [np.zeros(0, np.int64)]
     row = 0
-    while row < n_users:
+    while row < len(codes):
         stop = max(row + 1, int(np.searchsorted(done, done[row] + BLOCK, side="right")) - 1)
         taken = slice(bound[row], bound[stop])
         run = later[taken]
@@ -110,15 +119,17 @@ def _row_counts(item: np.ndarray, user: np.ndarray, n_users: int, threshold: int
         partner = np.arange(done[stop] - done[row]) + np.repeat(order[taken] + 1 - before, run)
         pair = np.repeat(high[taken], run)
         pair |= low[partner]
-        del partner  # freed before np.unique copies the keys
-        k, c = np.unique(pair, return_counts=True)
+        del partner  # freed before the run is sorted and counted
+        pair.sort()
+        start = np.flatnonzero(_run_starts(pair))
+        c = np.diff(start, append=len(pair))
         heavy = c >= threshold
-        keys.append(k[heavy])
+        keys.append(pair[start[heavy]])
         counts.append(c[heavy])
         row = stop
     key = np.concatenate(keys)
     # a cast to the narrower type keeps the low bits, b
-    return (key >> key_type(shift)).astype(user_type), key.astype(user_type), np.concatenate(counts)
+    return codes, (key >> key_type(shift)).astype(user_type), key.astype(user_type), np.concatenate(counts)
 
 
 def build_dsg(window_trace: Trace, threshold: int) -> DataSharingGraph:
@@ -140,10 +151,8 @@ def build_dsg(window_trace: Trace, threshold: int) -> DataSharingGraph:
     """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
-    item, user_code = window_trace.incidences()
-    codes, user = np.unique(user_code, return_inverse=True)
-    n = len(codes)
-    indptr, indices, weights = symmetric_csr(n, *_row_counts(item, user, n, threshold))
+    codes, *upper = _row_counts(*window_trace.incidences(), threshold)
+    indptr, indices, weights = symmetric_csr(len(codes), *upper)
     linked, indptr, indices = drop_empty_rows(indptr, indices)
     users = window_trace.user_ids
     nodes = tuple(users[c] for c in codes[linked].tolist())
@@ -154,15 +163,17 @@ def weight_distribution(g: DataSharingGraph) -> WeightDistribution:
     """Histogram the edge weights; median/mean are NaN for an empty graph.
 
     Each edge's weight sits in both of its entries, so the entries hold every
-    weight twice: the counts are halved, and the mean and median of the
-    doubled multiset are those of the edges.
+    weight twice: the counts are halved, and the mean and median (the mean of
+    the two middle entries) of the doubled multiset are those of the edges.
     """
     weights = g.weights
     if not len(weights):
         return WeightDistribution(counts={}, mean=math.nan, median=math.nan)
-    values, counts = np.unique(weights, return_counts=True)
+    counts = np.bincount(weights)
+    values = np.flatnonzero(counts)
+    middle = np.searchsorted(np.cumsum(counts), [len(weights) // 2 - 1, len(weights) // 2], side="right")
     return WeightDistribution(
-        counts=dict(zip(values.tolist(), (counts // 2).tolist())),
+        counts=dict(zip(values.tolist(), (counts[values] // 2).tolist())),
         mean=int(weights.sum()) / len(weights),
-        median=float(np.median(weights)),
+        median=float(middle.mean()),
     )

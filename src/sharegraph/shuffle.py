@@ -45,16 +45,19 @@ class ShuffleMode:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
 
-def shuffle_trace(trace: Trace, mode: ShuffleMode) -> Trace:
-    """Return the seeded column permutation of a trace.
+def shuffle_trace(trace: Trace, mode: ShuffleMode, window: TimeWindow | None = None) -> Trace:
+    """Return the seeded column permutation of a trace, or of its window.
 
     The time column is never moved, so row order (and time-sortedness) is
     preserved. ST1 derives two independent streams from the seed, one per
     permuted column; ST2 and ST3 use the seed's own stream. Only code
-    columns move; the id tables are shared.
+    columns move; the id tables are shared. Given a window, the whole trace
+    is permuted but only the window's rows are gathered: the result is
+    ``slice_window(shuffle_trace(trace, mode), window)``.
     """
     if not len(trace):
         raise EmptyTraceError("cannot shuffle an empty trace")
+    rows = slice(None) if window is None else trace._window_rows(window)
     root = np.random.SeedSequence(mode.seed)
     if mode.variant == "ST1":
         streams = root.spawn(2)
@@ -62,15 +65,17 @@ def shuffle_trace(trace: Trace, mode: ShuffleMode) -> Trace:
         streams = [root, None] if mode.variant == "ST2" else [None, root]
     columns = [trace.user_codes, trace.item_codes]
     for k, stream in enumerate(streams):
-        if stream is not None:
-            # The column's swaps are made on an arange and the column gathered
-            # through it: numpy shuffles 8-byte items on its fast path, which
-            # the int32 code columns miss.
+        if stream is None:
+            columns[k] = columns[k][rows]
+        else:
+            # The column's swaps are made on an arange and the window's rows
+            # gathered through it: numpy shuffles 8-byte items on its fast
+            # path, which the int32 code columns miss.
             order = np.arange(len(trace))
             np.random.default_rng(stream).shuffle(order)
-            columns[k] = columns[k][order]
+            columns[k] = columns[k][order[rows]]
             del order
-    return Trace(trace.user_ids, columns[0], trace.item_ids, columns[1], trace.timestamps)
+    return Trace(trace.user_ids, columns[0], trace.item_ids, columns[1], trace.timestamps[rows])
 
 
 def replicate_seed(master_seed: int, replicate: int) -> int:
@@ -137,25 +142,22 @@ def null_model_comparison(
     """Compare the real trace's graph against shuffled-trace graphs.
 
     The full trace is shuffled (so column marginals are preserved globally),
-    then the window is sliced and the graph built exactly as for the real
-    trace. Each (mode, replicate) pair gets a seed derived from the mode's
-    seed, recorded in its row. Replicates are shuffled and measured one
-    after another, and each one's trace is freed once its row is made.
+    and the window's rows of the shuffle (``shuffle_trace`` with the window)
+    are measured exactly as the real window. Each (mode, replicate) pair
+    gets a seed derived from the mode's seed, recorded in its row.
+    Replicates are shuffled and measured one after another, and each one's
+    window is freed once its row is made.
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if not len(trace):
         raise EmptyTraceError("cannot compare an empty trace")
 
-    def measured(source: str, replicate: int, seed: int | None, t: Trace) -> NullModelRow:
-        if window is not None:
-            t = slice_window(t, window)
-        return _row(source, replicate, seed, t, threshold, sample_fraction, path_seed)
-
-    rows = [measured("real", 0, None, trace)]
+    measure = (threshold, sample_fraction, path_seed)
+    rows = [_row("real", 0, None, trace if window is None else slice_window(trace, window), *measure)]
     for mode in modes:
         for r in range(replicates):
             seed = replicate_seed(mode.seed, r)
-            rows.append(measured(mode.variant, r, seed,
-                                 shuffle_trace(trace, ShuffleMode(mode.variant, seed))))
+            rows.append(_row(mode.variant, r, seed,
+                             shuffle_trace(trace, ShuffleMode(mode.variant, seed), window), *measure))
     return NullModelComparison(rows=tuple(rows))

@@ -106,6 +106,14 @@ def _recoded(order, codes) -> np.ndarray:
     return codes
 
 
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the entry before."""
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
 def _intern(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """(distinct values sorted, code of each value in that table)."""
     first: dict[str, int] = {}
@@ -155,6 +163,12 @@ class Trace:
         return Trace(self.user_ids, self.user_codes[rows],
                      self.item_ids, self.item_codes[rows], self.timestamps[rows])
 
+    def _window_rows(self, window: TimeWindow):
+        """The rows inside the window: a slice if the trace is time-sorted, else a mask."""
+        if self.time_sorted:
+            return slice(*_rows_before(self, [window.start, window.end]))
+        return (self.timestamps >= window.start) & (self.timestamps < window.end)
+
     def __reduce__(self):
         # A window shares its trace's tables; pickled, it keeps only the ids it uses.
         users, user_codes = np.unique(self.user_codes, return_inverse=True)
@@ -199,10 +213,7 @@ class Trace:
         # Sorted, then the first of each run kept: on numpy >= 2.3 a plain
         # np.unique takes a hash path about 10x slower than a sort on these keys.
         keys.sort()
-        first = np.empty(len(keys), dtype=bool)
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        return np.divmod(keys[first], n)
+        return np.divmod(keys[_run_starts(keys)], n)
 
     def sorted_by_time(self) -> "Trace":
         """Return the trace stably sorted by timestamp (itself, if already sorted)."""
@@ -793,11 +804,7 @@ def slice_window(trace: Trace, window: TimeWindow) -> Trace:
 
     On a time-sorted trace this is an index range found by binary search.
     """
-    if trace.time_sorted:
-        lo, hi = _rows_before(trace, [window.start, window.end])
-        return trace._take(slice(lo, hi))
-    t = trace.timestamps
-    return trace._take((t >= window.start) & (t < window.end))
+    return trace._take(trace._window_rows(window))
 
 
 def generate_synthetic_trace(

@@ -15,13 +15,16 @@ import numpy as np
 import pytest
 
 from sharegraph import (
+    ShuffleMode,
     TimeWindow,
     build_bipartite,
     build_dsg,
     generate_synthetic_trace,
     load_trace,
+    null_model_comparison,
     slice_window,
 )
+from sharegraph import shuffle as shuffle_module
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,3 +69,21 @@ def test_tracer_counters_read_a_window_trace():
     assert tracer.COUNTERS["build_bipartite"]((window,), {}, bipartite) == {
         "affiliation.incidences": len(users),
     }
+
+
+def test_tracer_counter_reads_the_whole_trace_of_each_windowed_shuffle(monkeypatch):
+    # The traced run's shuffle.records_permuted counts the rows each
+    # replicate permutes, the whole trace's, though only the window is kept.
+    trace = generate_synthetic_trace(40, 60, 800, "zipf", seed=2, span_seconds=7200)
+    real_shuffle_trace = shuffle_module.shuffle_trace
+    counted = []
+
+    def shuffle_trace(*args, **kwargs):
+        shuffled = real_shuffle_trace(*args, **kwargs)
+        counted.append(tracer.COUNTERS["shuffle_trace"](args, kwargs, shuffled))
+        return shuffled
+
+    monkeypatch.setattr(shuffle_module, "shuffle_trace", shuffle_trace)
+    modes = [ShuffleMode("ST1", 1), ShuffleMode("ST2", 2), ShuffleMode("ST3", 3)]
+    null_model_comparison(trace, TimeWindow(1800, 3600), 1, modes, replicates=2)
+    assert counted == [{"shuffle.records_permuted": len(trace)}] * 6

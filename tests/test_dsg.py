@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sharegraph import (
     Graph,
@@ -278,6 +280,28 @@ def test_weight_distribution_empty_graph():
     assert dist.counts == {}
     assert math.isnan(dist.median)
     assert math.isnan(dist.mean)
+
+
+_weight = st.integers(min_value=1, max_value=10**4)
+
+
+@given(st.one_of(
+    st.lists(_weight, min_size=1, max_size=500),
+    st.tuples(_weight, st.integers(min_value=1, max_value=500)).map(lambda wk: [wk[0]] * wk[1]),
+))
+@example([7])
+@example([3, 9])
+@example([10**4] * 4)
+@example([1, 2, 2, 10**4, 5])
+@settings(max_examples=150, deadline=None)
+def test_weight_distribution_matches_the_edge_weights(weights):
+    # Edges of any weights, odd and even in number, or all of one weight:
+    # the histogram, mean and median are those of the edge weights.
+    g = dsg({(f"a{k:03d}", f"b{k:03d}"): w for k, w in enumerate(weights)})
+    dist = weight_distribution(g)
+    assert dist.counts == Counter(weights)
+    assert dist.mean == int(sum(weights)) / len(weights)
+    assert dist.median == statistics.median(weights)
 
 
 # --- connected components ---

@@ -9,14 +9,17 @@ import pytest
 from sharegraph import (
     DisconnectedGraphError,
     MetricsReport,
+    ShuffleMode,
     TimeWindow,
     average_path_length,
     build_dsg,
     clustering,
     compare_window,
     degree_distribution,
+    generate_clustered_trace,
     generate_synthetic_trace,
     gnm_random_graph,
+    null_model_comparison,
     random_baselines,
     slice_window,
     small_world_report,
@@ -184,12 +187,16 @@ def test_kernel_rule_reads_the_oriented_path_count(monkeypatch, packed):
         assert triangles == oracle_triangles(g)
 
 
-# sha256 of a sweep's metrics.csv, whose cells take both triangle kernels, and
-# of one window's affiliation.csv: a change to a triangle kernel must leave
-# every report byte as it was.
+# sha256 of a sweep's metrics.csv, whose cells take both triangle kernels,
+# of one window's affiliation.csv, and of a windowed null-model comparison's
+# two reports (every replicate row, and its weight median and mean): a change
+# to a triangle kernel, the build or the shuffles must leave every report
+# byte as it was.
 REPORT_DIGESTS = {
     "metrics.csv": "48d5dcd6d8bf4647d0577389e1fdbb6314629150421de3f8666291284e4d8024",
     "affiliation.csv": "d4c013aa1ab3a23f2d384a123bd1be93e76850b840655b76c42c2bddf7d2b994",
+    "nullmodel.csv": "a2ea89ef607a43038450027c79c224f869bcd948e0e65c8d3ade7fbab247bbc3",
+    "nullmodel_summary.csv": "f32733e37426a3a55b4dab749b6a1811cdadb854f2fd3de6b34a96dacc321dfa",
 }
 
 
@@ -208,7 +215,19 @@ def test_report_golden_digests(monkeypatch):
     window = TimeWindow(0, 600)
     affiliation_csv = pipeline.render_csv(
         pipeline.AFFILIATION_COLUMNS, pipeline.affiliation_rows(slice_window(trace, window), window, 600))
-    got = {"metrics.csv": metrics_csv, "affiliation.csv": affiliation_csv}
+    trace = generate_clustered_trace(groups=10, users_per_group=8, pool_size=40,
+                                     requests_per_user=40, seed=4, span_seconds=7200)
+    modes = [ShuffleMode("ST1", 1), ShuffleMode("ST2", 2), ShuffleMode("ST3", 3)]
+    comparison = null_model_comparison(trace, TimeWindow(1800, 5400), 2, modes, replicates=2,
+                                       sample_fraction=0.5, path_seed=11)
+    got = {
+        "metrics.csv": metrics_csv,
+        "affiliation.csv": affiliation_csv,
+        "nullmodel.csv": pipeline.render_csv(pipeline.NULLMODEL_COLUMNS,
+                                             pipeline.nullmodel_rows(comparison)),
+        "nullmodel_summary.csv": pipeline.render_csv(pipeline.NULLMODEL_SUMMARY_COLUMNS,
+                                                     pipeline.nullmodel_summary_rows(comparison)),
+    }
     assert {name: hashlib.sha256(text.encode()).hexdigest() for name, text in got.items()} == REPORT_DIGESTS
 
 

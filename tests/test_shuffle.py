@@ -151,6 +151,41 @@ def test_shuffle_golden_digest(variant):
     text = render_trace(shuffle_trace(trace, ShuffleMode(variant, 7)))
     assert hashlib.sha256(text.encode()).hexdigest() == SHUFFLE_DIGESTS[variant]
 
+
+# Timestamps are even, so a window [2k+1, 2k+2) holds no row.
+_even_records = st.tuples(_ids, _ids, st.integers(min_value=0, max_value=499).map(lambda t: 2 * t))
+_windows = st.one_of(
+    st.integers(min_value=0, max_value=499).map(lambda k: TimeWindow(2 * k + 1, 2 * k + 2)),  # empty
+    st.integers(min_value=1, max_value=100).map(lambda d: TimeWindow(-d, 0)),  # before the trace
+    st.integers(min_value=1000, max_value=1100).map(lambda s: TimeWindow(s, s + 50)),  # after it
+    st.integers(min_value=1, max_value=100).map(lambda d: TimeWindow(-d, 1000 + d)),  # covering it
+    st.tuples(st.integers(min_value=-10, max_value=1000), st.integers(min_value=1, max_value=1010))
+    .map(lambda sd: TimeWindow(sd[0], sd[0] + sd[1])),
+)
+
+
+@given(st.lists(_even_records, min_size=1, max_size=60),
+       st.sampled_from(["ST1", "ST2", "ST3"]),
+       st.integers(min_value=0, max_value=2**31),
+       st.booleans(),
+       _windows)
+@settings(max_examples=200, deadline=None)
+def test_windowed_shuffle_is_the_window_of_the_shuffle(records, variant, seed, by_time, window):
+    trace = trace_of(records)
+    if by_time:
+        trace = trace.sorted_by_time()
+    mode = ShuffleMode(variant, seed)
+    whole = shuffle_trace(trace, mode)
+    want = slice_window(whole, window)
+    got = shuffle_trace(trace, mode, window)
+    assert got == want
+    assert got.time_sorted == want.time_sorted
+    for name in ("user_codes", "item_codes", "timestamps"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert (got.user_ids, got.item_ids) == (trace.user_ids, trace.item_ids)
+    assert shuffle_trace(trace, mode, None) == whole
+
+
 def test_replicate_seed_deterministic_and_distinct():
     seeds = [replicate_seed(42, r) for r in range(10)]
     assert seeds == [replicate_seed(42, r) for r in range(10)]
@@ -272,8 +307,8 @@ def test_overlapped_rows_equal_the_serial_oracle(case):
 
 
 def test_a_replicates_full_columns_are_freed_before_the_next_is_copied(monkeypatch):
-    # A sorted window's columns are views of its shuffled trace's full
-    # columns, so those live until its row is made, and no longer.
+    # Each replicate's shuffle returns the window's own columns, gathered
+    # from the permuted rows; they live until its row is made, and no longer.
     trace = generate_synthetic_trace(20, 30, 500, seed=3)
     columns, alive = [], []  # weak references; full columns alive as each replicate is shuffled
     real_shuffle_trace = shuffle_module.shuffle_trace
@@ -314,6 +349,22 @@ def test_more_replicates_peak_no_higher_than_one():
             trace, TimeWindow(0, inside), 1, [ShuffleMode("ST1", 1)] * copies, replicates=1))[1]
 
     assert peak(3) < peak(1) + 64 * 1024
+
+
+def test_a_shuffled_window_holds_no_full_column():
+    # A replicate holds one int64 order over the whole trace (8 bytes a row)
+    # while it permutes a column; only the window's 1 % of the rows is
+    # gathered, and measuring that window weighs about as much as measuring
+    # the real one. A replicate that gathers whole int32 code columns before
+    # it cuts the window holds 8 bytes a row more, and fails this.
+    n = 100_000
+    trace = generate_synthetic_trace(2000, 20_000, n, seed=3, span_seconds=n)
+
+    def peak(modes):
+        return traced_peak(lambda: null_model_comparison(
+            trace, TimeWindow(40_000, 41_000), 1, modes, replicates=1))[1]
+
+    assert peak([ShuffleMode("ST1", 1)]) < peak([]) + 8 * n + 64 * 1024
 
 
 class Refused(Exception):
