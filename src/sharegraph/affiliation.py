@@ -31,7 +31,7 @@ import numpy as np
 from .dsg import DataSharingGraph, build_dsg
 from .errors import EmptyTraceError
 from .metrics import clustering
-from .trace import Trace
+from .trace import Trace, _run_starts
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,9 @@ def build_bipartite(window_trace: Trace) -> BipartiteAffiliation:
     if not len(window_trace):
         raise EmptyTraceError("cannot build a bipartite model of an empty window")
     item, user = window_trace.incidences()
-    user_degree = np.unique(user, return_counts=True)[1]
-    item_degree = np.unique(item, return_counts=True)[1]
+    user_degree = np.bincount(user)
+    user_degree = user_degree[user_degree > 0]
+    item_degree = np.diff(np.flatnonzero(_run_starts(item)), append=len(item))  # items come sorted
     n, m = len(user_degree), len(item_degree)
     return BipartiteAffiliation(
         user_count=n,
@@ -85,8 +86,9 @@ def build_bipartite(window_trace: Trace) -> BipartiteAffiliation:
 
 def _fractions(degrees: np.ndarray, total: int) -> dict[int, float]:
     """degree -> fraction of the ``total`` nodes that have it, by degree."""
-    values, counts = np.unique(degrees, return_counts=True)
-    return {d: c / total for d, c in zip(values.tolist(), counts.tolist())}
+    counts = np.bincount(degrees)
+    values = np.flatnonzero(counts)
+    return {d: c / total for d, c in zip(values.tolist(), counts[values].tolist())}
 
 
 def gf_moments(dist: Mapping[int, float]) -> tuple[float, float, float]:

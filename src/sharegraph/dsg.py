@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BLOCK, Graph, _kept_nodes, _readonly, drop_empty_rows, symmetric_csr
+from .graph import BLOCK, Graph, _ids_at, _readonly, drop_empty_rows, symmetric_csr
 from .trace import Trace, _run_starts
 
 
@@ -58,7 +58,7 @@ class DataSharingGraph(Graph):
         # points at a row left empty.
         linked, indptr, indices = drop_empty_rows(np.searchsorted(kept, self.indptr),
                                                   self.indices[kept])
-        return DataSharingGraph(_kept_nodes(self.nodes, linked), indptr, indices,
+        return DataSharingGraph(_ids_at(self.nodes, np.flatnonzero(linked)), indptr, indices,
                                 self.weights[kept], threshold)
 
 
@@ -154,8 +154,7 @@ def build_dsg(window_trace: Trace, threshold: int) -> DataSharingGraph:
     codes, *upper = _row_counts(*window_trace.incidences(), threshold)
     indptr, indices, weights = symmetric_csr(len(codes), *upper)
     linked, indptr, indices = drop_empty_rows(indptr, indices)
-    users = window_trace.user_ids
-    nodes = tuple(users[c] for c in codes[linked].tolist())
+    nodes = _ids_at(window_trace.user_ids, codes[linked])
     return DataSharingGraph(nodes, indptr, indices, weights, threshold)
 
 

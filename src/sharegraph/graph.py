@@ -7,6 +7,8 @@ id. Each undirected edge is stored once in each endpoint's row.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Entries per temporary array in the chunked passes over pairs, paths and
@@ -33,8 +35,11 @@ def symmetric_csr(n: int, a: np.ndarray, b: np.ndarray, values: np.ndarray | Non
     half is the upper half mirrored, not sorted again. That sort runs on one
     uint64 word per pair, b above the pair's number, which numpy sorts
     faster than a stable argsort of b alone; so n and the number of pairs
-    must be below 2^32. Given ``values``, one per pair, a third array gives
-    each entry its pair's value.
+    must be below 2^32. Each row's lower and upper counts are found by a
+    ``searchsorted`` of the n row numbers among those words and among a:
+    on a dense window (2,530 rows, 71,870 pairs) that took 0.08 ms each,
+    against 0.10 and 0.19 ms for a ``bincount`` of b and of a. Given ``values``,
+    one per pair, a third array gives each entry its pair's value.
     """
     e = len(a)
     mirror = b.astype(np.uint64) << np.uint64(32)
@@ -72,9 +77,10 @@ def drop_empty_rows(indptr: np.ndarray, indices: np.ndarray):
     return linked, indptr, indices
 
 
-def _kept_nodes(nodes: tuple, keep: np.ndarray) -> tuple:
-    """The ids of the kept node indices, in index order."""
-    return tuple(nodes[i] for i in np.flatnonzero(keep).tolist())
+def _ids_at(ids: tuple, index: np.ndarray) -> tuple:
+    """The ids at the given positions, in order, gathered by one C-level call."""
+    index = index.tolist()
+    return operator.itemgetter(*index)(ids) if len(index) > 1 else tuple(ids[i] for i in index)
 
 
 class Graph:
@@ -118,10 +124,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Degree of every node, in index order."""
         return np.diff(self.indptr)
-
-    def entry_rows(self) -> np.ndarray:
-        """The row (source node index) of every entry of ``indices``."""
-        return np.repeat(np.arange(self.node_count), self.degrees())
 
     def _component_labels(self) -> np.ndarray:
         """Each node's label: the index of the smallest node of its component.
@@ -168,7 +170,7 @@ class Graph:
         indptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
         np.cumsum(degrees[keep], out=indptr[1:])
         indices = (np.cumsum(keep) - 1)[self.indices[np.repeat(keep, degrees)]]
-        return len(roots), Graph(_kept_nodes(self.nodes, keep), indptr, indices)
+        return len(roots), Graph(_ids_at(self.nodes, np.flatnonzero(keep)), indptr, indices)
 
 
 def gnm_random_graph(n: int, m: int, seed: int = 0) -> Graph:

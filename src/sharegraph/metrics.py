@@ -31,33 +31,50 @@ def _packed_is_cheaper(nodes: int, edges: int, paths: int) -> bool:
     return 2 * edges * -(-nodes // 64) < 7 * paths
 
 
-def _pack_slab(g: Graph, slab: np.ndarray, w0: int) -> None:
+def _runs(before: np.ndarray, budget: int, most: int):
+    """Consecutive runs [lo, hi) over the len(before) - 1 rows, in order.
+
+    ``before[r]`` counts the items of the rows before row r. A run holds at
+    most ``most`` rows and ``budget`` items, but at least one row.
+    """
+    n = len(before) - 1
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(before, before[lo] + budget, side="right")) - 1
+        hi = min(max(hi, lo + 1), lo + most)
+        yield lo, hi
+        lo = hi
+
+
+def _pack_slab(g: Graph, slab: np.ndarray, w0: int, first: np.ndarray, last: np.ndarray) -> None:
     """Write words w0, w0 + 1, ... of every packed adjacency row into ``slab`` (V x w).
 
-    The rows are written in dense boolean blocks of rows x 64 * w columns,
-    each at most 8 * BLOCK bytes and BLOCK // 4 CSR entries but at least one
-    row, packed by ``np.packbits``. Which bit holds which column does not
-    change a popcount as long as every row has the same layout, so the bytes
-    are viewed as words in machine order.
+    Row r's columns in the slab are ``g.indices[first[r]:last[r]]``. The rows
+    are written in dense boolean blocks of rows x 64 * w columns, each at
+    most 8 * BLOCK bytes and BLOCK // 4 CSR entries but at least one row,
+    packed by ``np.packbits``. A slab of every column reads each block's
+    entries as one slice; a narrower one gathers each row's run. Which bit
+    holds which column does not change a popcount as long as every row has
+    the same layout, so the bytes are viewed as words in machine order.
     """
     n, w = slab.shape
     cols = 64 * w
-    most_rows = max(1, 8 * BLOCK // cols)
-    fill = max(1, BLOCK // 4)
-    indptr, indices = g.indptr, g.indices
-    r0 = 0
-    while r0 < n:
-        r1 = int(np.searchsorted(indptr, indptr[r0] + fill, side="right")) - 1
-        r1 = min(max(r1, r0 + 1), r0 + most_rows, n)
-        col = indices[indptr[r0]:indptr[r1]] - 64 * w0
-        cell = np.repeat(np.arange(0, (r1 - r0) * cols, cols), np.diff(indptr[r0:r1 + 1]))
+    count = last - first
+    before = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(count, out=before[1:])
+    whole = not w0 and cols >= n  # then first and before[:-1] are g.indptr[:-1]
+    for r0, r1 in _runs(before, max(1, BLOCK // 4), max(1, 8 * BLOCK // cols)):
+        if whole:
+            col = g.indices[before[r0]:before[r1]]
+        else:
+            at = np.repeat(first[r0:r1] - before[r0:r1], count[r0:r1])
+            at += np.arange(before[r0], before[r1])
+            col = g.indices[at] - 64 * w0
+        cell = np.repeat(np.arange(0, (r1 - r0) * cols, cols), count[r0:r1])
         cell += col
-        if w0 or cols < n:
-            cell = cell[(col >= 0) & (col < cols)]
         block = np.zeros((r1 - r0, cols), dtype=bool)
         block.reshape(-1)[cell] = True
         slab[r0:r1] = np.packbits(block, axis=1, bitorder="little").view(np.uint64)
-        r0 = r1
 
 
 def _packed_support(g: Graph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -69,10 +86,13 @@ def _packed_support(g: Graph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     Schank and Wagner, WEA 2005). The rows are packed one slab of ``width``
     words at a time (``_pack_slab``), V * width <= BLOCK words unless a
     single word per row already exceeds it, and the counts are summed over
-    the slabs. A slab is read for runs of BLOCK // width edges: the rows of
-    each edge's ends are gathered into two buffers, ANDed in place, and the
-    words' popcounts are summed by a product with a vector of ones in
-    float64, exact because a sum is at most 64 * width < 2^53.
+    the slabs. A row's columns ascend, so its columns in one slab are one
+    run of its entries, found for every row by one ``searchsorted`` per slab
+    over the entries keyed by (row, column). A slab is read for runs of
+    BLOCK // width edges: the rows of each edge's ends are gathered into two
+    buffers, ANDed in place, and the words' popcounts are written as float32
+    and summed by a product with a vector of ones, exact because a sum is at
+    most 64 * width <= 64 * BLOCK = 2^22 < 2^24.
     """
     n = g.node_count
     support = np.zeros(len(src), dtype=np.int64)
@@ -81,76 +101,91 @@ def _packed_support(g: Graph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     words = -(-n // 64)
     width = min(words, max(1, BLOCK // n))
     step = min(len(src), max(1, BLOCK // width))
+    first = g.indptr[:-1]
+    if width < words:
+        row_keys = np.arange(0, n * n, n)
+        keys = np.repeat(row_keys, g.degrees())
+        keys += g.indices
     for w0 in range(0, words, width):
         w = min(width, words - w0)
+        # 64 * (w0 + w) < V unless this is the last slab, so the key stays in its row.
+        last = g.indptr[1:] if w0 + w == words else np.searchsorted(keys, row_keys + 64 * (w0 + w))
         slab = np.empty((n, w), dtype=np.uint64)
-        _pack_slab(g, slab, w0)
+        _pack_slab(g, slab, w0, first, last)
+        first = last
         common, other = np.empty((2, step, w), dtype=np.uint64)
-        ones = np.ones(w)
+        counts = np.empty((step, w), dtype=np.float32)
+        sums = np.empty(step, dtype=np.float32)
+        ones = np.ones(w, dtype=np.float32)
         for s0 in range(0, len(src), step):
             k = min(step, len(src) - s0)
             # mode="clip" lets take write straight into out; every index is a row.
             np.take(slab, src[s0:s0 + k], axis=0, out=common[:k], mode="clip")
             np.take(slab, dst[s0:s0 + k], axis=0, out=other[:k], mode="clip")
             common[:k] &= other[:k]
-            counts = np.bitwise_count(common[:k])
+            np.bitwise_count(common[:k], out=counts[:k], casting="unsafe")
             # One word needs no sum, and a product with one column is slower than a copy.
-            support[s0:s0 + k] += counts[:, 0] if w == 1 else (counts @ ones).astype(np.int64)
+            total = counts[:k, 0] if w == 1 else np.matmul(counts[:k], ones, out=sums[:k])
+            np.add(support[s0:s0 + k], total, out=support[s0:s0 + k], casting="unsafe")
     return support
 
 
-def _triangles(g: Graph) -> np.ndarray:
-    """Number of triangles through each node, by the cheaper of two kernels.
+def _credit(tri: np.ndarray, out_ptr: np.ndarray, dst: np.ndarray, support: np.ndarray) -> None:
+    """Add each oriented edge's ``support`` to both of its ends' counts in ``tri``.
 
-    Each edge is oriented from its lower to its higher (degree, index) rank,
-    which leaves every node at most sqrt(2E) out-neighbours. The path pass
-    walks every path a -> b -> c over the oriented edges; the packed kernel
-    (``_packed_support``) ANDs two rows of ceil(V/64) words for each edge.
-    Each graph goes to the kernel with the smaller cost, 3.5 per path
-    against one per word of E * ceil(V/64) (``_packed_is_cheaper``): dense
-    graphs to the packed kernel, sparse, wide ones to the path pass. The
-    number of paths is the sum over nodes of in-degree x out-degree in the
-    oriented graph, from two ``bincount``s; the per-edge path arrays are
-    built only when the path pass runs. The packed kernel counts each
-    triangle on all three of its edges, so a node's count is half the sum
-    over its incident edges.
+    The edges are sorted by source, whose out-edges start at ``out_ptr``, so
+    a source's share is one ``add.reduceat`` over its run.
+    """
+    sources = np.flatnonzero(out_ptr[1:] > out_ptr[:-1])
+    tri[sources] += np.add.reduceat(support, out_ptr[sources])
+    np.add.at(tri, dst, support)
 
-    In the path pass a triangle with corners ranked a < b < c is found
-    exactly once, as the path a -> b -> c closed by the edge a -> c, and
-    credited to all three corners. Sources a are taken in runs of at most 64
-    nodes and about BLOCK paths. Bit j of ``mark[c]`` says that c is an
-    out-neighbour of the run's j-th node, so closing a path is one lookup in
-    an array of V words.
+
+def _orient(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(src, dst, out_ptr, paths) of the edges oriented by (degree, index) rank.
+
+    Each edge points from its lower to its higher ranked end, which leaves
+    every node at most sqrt(2E) out-neighbours; the rank is the position in
+    a stable ``argsort`` of the degrees. Rows are taken in runs of about
+    BLOCK entries, and one comparison of each entry's rank with its row's
+    marks the out-entries. Their positions give ``dst``, sorted by (src,
+    dst), and a ``searchsorted`` of the row offsets among them gives each
+    node's first out-edge, ``out_ptr``. ``paths`` is the number of paths
+    a -> b -> c: each is an in-edge and an out-edge of its middle node b,
+    whose in-degree is its degree less its out-degree.
     """
     n = g.node_count
+    indptr, indices = g.indptr, g.indices
+    deg = g.degrees()
     rank = np.empty(n, dtype=np.int64)
-    rank[np.lexsort((np.arange(n), g.degrees()))] = np.arange(n)
-    rows = g.entry_rows()
-    up = rank[rows] < rank[g.indices]
-    src, dst = rows[up], g.indices[up]  # sorted by (src, dst)
-    del rows, up  # freed before either kernel's temporaries
-    out_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=out_ptr[1:])
+    rank[np.argsort(deg, kind="stable")] = np.arange(n)
+    up = np.empty(len(indices), dtype=bool)
+    for r0, r1 in _runs(indptr, BLOCK, n):
+        e0, e1 = indptr[r0], indptr[r1]
+        np.greater(rank[indices[e0:e1]], np.repeat(rank[r0:r1], deg[r0:r1]), out=up[e0:e1])
+    kept = np.flatnonzero(up)
+    out_ptr = np.searchsorted(kept, indptr)
+    out = np.diff(out_ptr)
+    return np.repeat(np.arange(n), out), indices[kept], out_ptr, int((deg - out) @ out)
 
-    tri = np.zeros(n, dtype=np.int64)
-    # Each path a -> b -> c is an in-edge and an out-edge of its middle node b.
-    if _packed_is_cheaper(n, len(src), int(np.bincount(dst, minlength=n) @ np.diff(out_ptr))):
-        support = _packed_support(g, src, dst)
-        np.add.at(tri, src, support)
-        np.add.at(tri, dst, support)
-        return tri // 2
 
+def _path_support(tri: np.ndarray, src: np.ndarray, dst: np.ndarray, out_ptr: np.ndarray) -> np.ndarray:
+    """Number of triangles closed over each oriented edge src[k] -> dst[k], by the path pass.
+
+    A triangle with corners ranked a < b < c is found exactly once, as the
+    path a -> b -> c closed by the edge a -> c; its corner c is credited in
+    ``tri`` here, and the edge a -> b gets its support. Sources a are taken
+    in runs of at most 64 nodes and about BLOCK paths. Bit j of ``mark[c]``
+    says that c is an out-neighbour of the run's j-th node, so closing a
+    path is one lookup in an array of V words.
+    """
     head_start = out_ptr[dst]
     paths = out_ptr[dst + 1] - head_start  # paths a -> b -> c through each edge a -> b
     before = np.zeros(len(src) + 1, dtype=np.int64)
     np.cumsum(paths, out=before[1:])
-    node_before = before[out_ptr]
-    support = np.zeros(len(src), dtype=np.int64)  # triangles closed over each edge a -> b
-    mark = np.zeros(n, dtype=np.uint64)
-    lo = 0
-    while lo < n:
-        hi = int(np.searchsorted(node_before, node_before[lo] + BLOCK, side="right")) - 1
-        hi = min(max(hi, lo + 1), lo + 64)
+    support = np.zeros(len(src), dtype=np.int64)
+    mark = np.zeros(len(tri), dtype=np.uint64)
+    for lo, hi in _runs(before[out_ptr], BLOCK, 64):
         e0, e1 = out_ptr[lo], out_ptr[hi]
         run = paths[e0:e1]
         if run.sum():
@@ -164,9 +199,31 @@ def _triangles(g: Graph) -> np.ndarray:
             support[e0:e1] = closed[end] - closed[end - run]
             np.add.at(tri, c[hit], 1)
             mark[dst[e0:e1]] = 0
-        lo = hi
-    np.add.at(tri, src, support)
-    np.add.at(tri, dst, support)
+    return support
+
+
+def _triangles(g: Graph) -> np.ndarray:
+    """Number of triangles through each node, by the cheaper of two kernels.
+
+    The edges are oriented by degree rank (``_orient``). The path pass
+    (``_path_support``) walks every path a -> b -> c over the oriented
+    edges; the packed kernel (``_packed_support``) ANDs two rows of
+    ceil(V/64) words for each edge. Each graph goes to the kernel with the
+    smaller cost, 3.5 per path against one per word of E * ceil(V/64)
+    (``_packed_is_cheaper``): dense graphs to the packed kernel, sparse, wide
+    ones to the path pass. The per-edge path arrays are built only when the
+    path pass runs. Either kernel gives each edge a support, credited to
+    both of its ends (``_credit``). The path pass finds each triangle once,
+    from its lowest ranked edge, and credits the third corner itself; the
+    packed kernel counts each triangle on all three of its edges, so a
+    node's count is half the sum over its incident edges.
+    """
+    src, dst, out_ptr, path_count = _orient(g)
+    tri = np.zeros(g.node_count, dtype=np.int64)
+    if _packed_is_cheaper(g.node_count, len(src), path_count):
+        _credit(tri, out_ptr, dst, _packed_support(g, src, dst))
+        return tri // 2
+    _credit(tri, out_ptr, dst, _path_support(tri, src, dst, out_ptr))
     return tri
 
 

@@ -47,9 +47,14 @@ CORRUPT_GZIP = [
 # ---------------------------------------------------------------------------
 # edge lists
 
+def entry_rows(g: Graph) -> np.ndarray:
+    """The row (source node index) of every entry of ``g.indices``."""
+    return np.repeat(np.arange(g.node_count), g.degrees())
+
+
 def edges(g: Graph) -> list[tuple]:
     """Each edge once, endpoints ordered, list sorted: the entries with row < column."""
-    rows = g.entry_rows()
+    rows = entry_rows(g)
     upper = rows < g.indices
     nodes = g.nodes
     return [(nodes[a], nodes[b]) for a, b in zip(rows[upper].tolist(), g.indices[upper].tolist())]
@@ -57,7 +62,7 @@ def edges(g: Graph) -> list[tuple]:
 
 def edge_weights(g: DataSharingGraph) -> np.ndarray:
     """The weight of every edge, once each, in the order of ``edges``."""
-    return g.weights[g.entry_rows() < g.indices]
+    return g.weights[entry_rows(g) < g.indices]
 
 
 # ---------------------------------------------------------------------------

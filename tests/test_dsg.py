@@ -21,6 +21,7 @@ from sharegraph.graph import BLOCK
 from helpers import (
     dsg,
     edges,
+    entry_rows,
     make_trace,
     oracle_components,
     oracle_dsg_edges,
@@ -166,7 +167,7 @@ def test_every_entry_weight_is_its_mirrors_and_the_oracles(monkeypatch, block):
             g = build_dsg(trace, threshold)
             oracle = oracle_dsg_edges(trace, threshold)
             entries = {(g.nodes[r], g.nodes[c]): w for r, c, w in
-                       zip(g.entry_rows().tolist(), g.indices.tolist(), g.weights.tolist())}
+                       zip(entry_rows(g).tolist(), g.indices.tolist(), g.weights.tolist())}
             assert len(entries) == 2 * len(oracle)
             for (u, v), w in entries.items():
                 assert entries[v, u] == w

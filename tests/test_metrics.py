@@ -136,15 +136,34 @@ def _triangles_peak(g):
 
 def test_dense_graph_packed_kernel_peaks_below_the_path_pass(monkeypatch):
     # Shaped like the affiliation-1m window (V=1,499, E=73k): its packed rows
-    # fit in one slab of 24 x 1,500 words. The packed kernel peaks at 3.6 MiB,
-    # the path pass at 5.5 MiB; the bound leaves 1.4 MiB of margin.
+    # fit in one slab of 24 x 1,500 words. The packed kernel peaks at 3.30 MiB,
+    # the path pass at 5.5 MiB. The bound leaves 0.15 MiB of margin, and an
+    # orientation that holds int64 arrays over all 2E entries (3.57 MiB) fails it.
     g = gnm_random_graph(1500, 73_000, seed=0)
     packed, packed_peak = _triangles_peak(g)
     monkeypatch.setattr(metrics_module, "_packed_is_cheaper", lambda *counts: False)
     path, path_peak = _triangles_peak(g)
     assert np.array_equal(packed, path)
     assert packed_peak < path_peak
-    assert packed_peak < 5 * 2**20
+    assert packed_peak < 3.45 * 2**20
+
+
+def test_packed_sums_stay_exact_at_the_widest_slab(monkeypatch):
+    # Every packed word all ones, so each edge's AND keeps all 64 * 128 bits
+    # of its rows, and BLOCK so large that one slab holds all 128 words: each
+    # edge's float32 product sums to 8,192, past 2,048, where float16 stops
+    # being exact. At the real BLOCK a slab is at most BLOCK words wide, so a
+    # sum is at most 64 * BLOCK, below 2^24, up to which float32 is exact.
+    assert 64 * metrics_module.BLOCK < 2**24
+    words = 128
+    g = gnm_random_graph(64 * words, 300, seed=0)
+    monkeypatch.setattr(metrics_module, "BLOCK", g.node_count * words)
+    monkeypatch.setattr(metrics_module, "_pack_slab",
+                        lambda g, slab, *runs: slab.fill(np.iinfo(np.uint64).max))
+    src, dst, _, _ = metrics_module._orient(g)
+    support = metrics_module._packed_support(g, src, dst)
+    assert support.dtype == np.int64
+    assert support.tolist() == [64 * words] * g.edge_count
 
 
 def test_kernel_rule_weighs_a_path_as_three_and_a_half_words():
