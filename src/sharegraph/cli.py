@@ -7,7 +7,8 @@ loads and hashes the input, then writes the reports plus a manifest.json
 into --out and prints what it wrote.
 
 Exit codes: 0 success (possibly with flagged rows), 2 usage error,
-3 trace parse failure, 4 precondition failure, 5 I/O failure.
+3 trace parse failure, 4 precondition failure (out of memory included),
+5 I/O failure.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ def main(argv=None) -> int:
     except TraceParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (EmptyTraceError, DisconnectedGraphError, ValueError) as exc:
+    except (EmptyTraceError, DisconnectedGraphError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BLOCK, Graph, _ids_at, _readonly, drop_empty_rows, symmetric_csr
+from .graph import BLOCK, Graph, _ids_at, _readonly, _runs, drop_empty_rows, symmetric_csr
 from .trace import Trace, _run_starts
 
 
@@ -85,12 +85,13 @@ def _row_counts(item: np.ndarray, user_code: np.ndarray, threshold: int):
     index. In that order each incidence pairs its user with the item's later
     users, the incidences after it in its item's run, so each pair is
     expanded once. Whole rows are taken in runs of at most BLOCK pairs (one
-    row, if it alone has more); each run's keys (a << s) | b are sorted in
-    place, counted and thresholded, so the runs' counts are final and in key
-    order. Keys are uint32 with s = 16 when the users fit in 16 bits, else
-    uint64 with s = 32; a and b come back as uint16 or uint32. Codes and
-    incidences number below 2^32. Beyond the result and the per-incidence
-    columns, no temporary array holds more than one run's pairs.
+    row, if it alone has more), split by ``graph._runs``; each run's keys
+    (a << s) | b are sorted in place, counted and thresholded, so the runs'
+    counts are final and in key order. Keys are uint32 with s = 16 when the
+    users fit in 16 bits, else uint64 with s = 32; a and b come back as
+    uint16 or uint32. Codes and incidences number below 2^32. Beyond the
+    result and the per-incidence columns, no temporary array holds more than
+    one run's pairs.
     """
     by_user = user_code.astype(np.uint64) << np.uint64(32)
     by_user |= np.arange(len(item), dtype=np.uint64)
@@ -109,9 +110,7 @@ def _row_counts(item: np.ndarray, user_code: np.ndarray, threshold: int):
     bound = np.append(np.flatnonzero(first), len(item))  # where each row starts
     done = np.concatenate(([0], np.cumsum(later)))[bound]  # pairs of the rows before each row
     keys, counts = [np.zeros(0, key_type)], [np.zeros(0, np.int64)]
-    row = 0
-    while row < len(codes):
-        stop = max(row + 1, int(np.searchsorted(done, done[row] + BLOCK, side="right")) - 1)
+    for row, stop in _runs(done, BLOCK, len(codes)):
         taken = slice(bound[row], bound[stop])
         run = later[taken]
         before = np.cumsum(run) - run
@@ -126,7 +125,6 @@ def _row_counts(item: np.ndarray, user_code: np.ndarray, threshold: int):
         heavy = c >= threshold
         keys.append(pair[start[heavy]])
         counts.append(c[heavy])
-        row = stop
     key = np.concatenate(keys)
     # a cast to the narrower type keeps the low bits, b
     return codes, (key >> key_type(shift)).astype(user_type), key.astype(user_type), np.concatenate(counts)

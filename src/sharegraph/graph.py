@@ -12,12 +12,26 @@ import operator
 import numpy as np
 
 # Entries per temporary array in the chunked passes over pairs, paths and
-# packed adjacency rows (metrics triangle counting, and dsg.build_dsg, which
-# counts whole rows of the upper half of the user x user product in runs of at
-# most this many pairs, or one row if it alone has more, and thresholds each
-# run as it goes): 0.5 MB per int64 or uint64 array, so a dense window costs
-# time in proportion to its work but no more memory beyond its result.
+# packed adjacency rows (metrics triangle counting and dsg.build_dsg), each
+# taking its runs of whole rows from ``_runs``, the one chunking rule: 0.5 MB
+# per int64 or uint64 array, so a dense window costs time in proportion to
+# its work but no more memory beyond its result.
 BLOCK = 1 << 16
+
+
+def _runs(before: np.ndarray, budget: int, most: int):
+    """Consecutive runs [lo, hi) over the len(before) - 1 rows, in order.
+
+    ``before[r]`` counts the items of the rows before row r. A run holds at
+    most ``most`` rows and ``budget`` items, but at least one row.
+    """
+    n = len(before) - 1
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(before, before[lo] + budget, side="right")) - 1
+        hi = min(max(hi, lo + 1), lo + most)
+        yield lo, hi
+        lo = hi
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

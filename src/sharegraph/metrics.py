@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedGraphError
-from .graph import BLOCK, Graph
+from .graph import BLOCK, Graph, _runs
 
 
 def _packed_is_cheaper(nodes: int, edges: int, paths: int) -> bool:
@@ -29,21 +29,6 @@ def _packed_is_cheaper(nodes: int, edges: int, paths: int) -> bool:
     a weight of 3.5 sends all but one of them to the faster kernel.
     """
     return 2 * edges * -(-nodes // 64) < 7 * paths
-
-
-def _runs(before: np.ndarray, budget: int, most: int):
-    """Consecutive runs [lo, hi) over the len(before) - 1 rows, in order.
-
-    ``before[r]`` counts the items of the rows before row r. A run holds at
-    most ``most`` rows and ``budget`` items, but at least one row.
-    """
-    n = len(before) - 1
-    lo = 0
-    while lo < n:
-        hi = int(np.searchsorted(before, before[lo] + budget, side="right")) - 1
-        hi = min(max(hi, lo + 1), lo + most)
-        yield lo, hi
-        lo = hi
 
 
 def _pack_slab(g: Graph, slab: np.ndarray, w0: int, first: np.ndarray, last: np.ndarray) -> None:
@@ -77,8 +62,8 @@ def _pack_slab(g: Graph, slab: np.ndarray, w0: int, first: np.ndarray, last: np.
         slab[r0:r1] = np.packbits(block, axis=1, bitorder="little").view(np.uint64)
 
 
-def _packed_support(g: Graph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Number of triangles on each edge src[k]-dst[k], by packed-row AND.
+def _packed_triangles(g: Graph, src: np.ndarray, dst: np.ndarray, out_ptr: np.ndarray) -> np.ndarray:
+    """Number of triangles through each node, by packed-row AND over the edges src[k]-dst[k].
 
     Row i of the packed adjacency has bit j set when j is a neighbour of i,
     in ceil(V/64) uint64 words, so an edge's triangles are
@@ -92,12 +77,16 @@ def _packed_support(g: Graph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     BLOCK // width edges: the rows of each edge's ends are gathered into two
     buffers, ANDed in place, and the words' popcounts are written as float32
     and summed by a product with a vector of ones, exact because a sum is at
-    most 64 * width <= 64 * BLOCK = 2^22 < 2^24.
+    most 64 * width <= 64 * BLOCK = 2^22 < 2^24. Each edge's count goes to
+    its source, by one ``add.reduceat`` over the source's run of out-edges
+    from ``out_ptr``, and to its destination; a triangle is counted on all
+    three of its edges, so each node's sum counts it twice.
     """
     n = g.node_count
-    support = np.zeros(len(src), dtype=np.int64)
+    tri = np.zeros(n, dtype=np.int64)
     if not len(src):
-        return support
+        return tri
+    support = np.zeros(len(src), dtype=np.int64)
     words = -(-n // 64)
     width = min(words, max(1, BLOCK // n))
     step = min(len(src), max(1, BLOCK // width))
@@ -127,18 +116,10 @@ def _packed_support(g: Graph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
             # One word needs no sum, and a product with one column is slower than a copy.
             total = counts[:k, 0] if w == 1 else np.matmul(counts[:k], ones, out=sums[:k])
             np.add(support[s0:s0 + k], total, out=support[s0:s0 + k], casting="unsafe")
-    return support
-
-
-def _credit(tri: np.ndarray, out_ptr: np.ndarray, dst: np.ndarray, support: np.ndarray) -> None:
-    """Add each oriented edge's ``support`` to both of its ends' counts in ``tri``.
-
-    The edges are sorted by source, whose out-edges start at ``out_ptr``, so
-    a source's share is one ``add.reduceat`` over its run.
-    """
     sources = np.flatnonzero(out_ptr[1:] > out_ptr[:-1])
-    tri[sources] += np.add.reduceat(support, out_ptr[sources])
+    tri[sources] = np.add.reduceat(support, out_ptr[sources])
     np.add.at(tri, dst, support)
+    return tri // 2
 
 
 def _orient(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -169,22 +150,21 @@ def _orient(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     return np.repeat(np.arange(n), out), indices[kept], out_ptr, int((deg - out) @ out)
 
 
-def _path_support(tri: np.ndarray, src: np.ndarray, dst: np.ndarray, out_ptr: np.ndarray) -> np.ndarray:
-    """Number of triangles closed over each oriented edge src[k] -> dst[k], by the path pass.
+def _path_triangles(g: Graph, src: np.ndarray, dst: np.ndarray, out_ptr: np.ndarray) -> np.ndarray:
+    """Number of triangles through each node, by the path pass over the oriented edges.
 
     A triangle with corners ranked a < b < c is found exactly once, as the
-    path a -> b -> c closed by the edge a -> c; its corner c is credited in
-    ``tri`` here, and the edge a -> b gets its support. Sources a are taken
-    in runs of at most 64 nodes and about BLOCK paths. Bit j of ``mark[c]``
-    says that c is an out-neighbour of the run's j-th node, so closing a
-    path is one lookup in an array of V words.
+    path a -> b -> c closed by the edge a -> c, and all three corners are
+    credited then. Sources a are taken in runs of at most 64 nodes and about
+    BLOCK paths. Bit j of ``mark[c]`` says that c is an out-neighbour of the
+    run's j-th node, so closing a path is one lookup in an array of V words.
     """
+    tri = np.zeros(g.node_count, dtype=np.int64)
     head_start = out_ptr[dst]
     paths = out_ptr[dst + 1] - head_start  # paths a -> b -> c through each edge a -> b
     before = np.zeros(len(src) + 1, dtype=np.int64)
     np.cumsum(paths, out=before[1:])
-    support = np.zeros(len(src), dtype=np.int64)
-    mark = np.zeros(len(tri), dtype=np.uint64)
+    mark = np.zeros(g.node_count, dtype=np.uint64)
     for lo, hi in _runs(before[out_ptr], BLOCK, 64):
         e0, e1 = out_ptr[lo], out_ptr[hi]
         run = paths[e0:e1]
@@ -193,38 +173,30 @@ def _path_support(tri: np.ndarray, src: np.ndarray, dst: np.ndarray, out_ptr: np
             np.bitwise_or.at(mark, dst[e0:e1], bit)
             end = np.cumsum(run)
             c = dst[np.repeat(head_start[e0:e1] - (end - run), run) + np.arange(end[-1])]
-            hit = (mark[c] & np.repeat(bit, run)) != 0
-            closed = np.zeros(len(c) + 1, dtype=np.int64)
-            np.cumsum(hit, out=closed[1:])
-            support[e0:e1] = closed[end] - closed[end - run]
-            np.add.at(tri, c[hit], 1)
+            hit = np.flatnonzero(mark[c] & np.repeat(bit, run))
+            e = e0 + np.searchsorted(end, hit, side="right")  # each closed path's first edge
+            np.add.at(tri, np.concatenate((src[e], dst[e], c[hit])), 1)
             mark[dst[e0:e1]] = 0
-    return support
+    return tri
 
 
 def _triangles(g: Graph) -> np.ndarray:
     """Number of triangles through each node, by the cheaper of two kernels.
 
     The edges are oriented by degree rank (``_orient``). The path pass
-    (``_path_support``) walks every path a -> b -> c over the oriented
-    edges; the packed kernel (``_packed_support``) ANDs two rows of
+    (``_path_triangles``) walks every path a -> b -> c over the oriented
+    edges; the packed kernel (``_packed_triangles``) ANDs two rows of
     ceil(V/64) words for each edge. Each graph goes to the kernel with the
     smaller cost, 3.5 per path against one per word of E * ceil(V/64)
     (``_packed_is_cheaper``): dense graphs to the packed kernel, sparse, wide
     ones to the path pass. The per-edge path arrays are built only when the
-    path pass runs. Either kernel gives each edge a support, credited to
-    both of its ends (``_credit``). The path pass finds each triangle once,
-    from its lowest ranked edge, and credits the third corner itself; the
-    packed kernel counts each triangle on all three of its edges, so a
-    node's count is half the sum over its incident edges.
+    path pass runs. Both kernels take the oriented edges and return every
+    node's count.
     """
     src, dst, out_ptr, path_count = _orient(g)
-    tri = np.zeros(g.node_count, dtype=np.int64)
     if _packed_is_cheaper(g.node_count, len(src), path_count):
-        _credit(tri, out_ptr, dst, _packed_support(g, src, dst))
-        return tri // 2
-    _credit(tri, out_ptr, dst, _path_support(tri, src, dst, out_ptr))
-    return tri
+        return _packed_triangles(g, src, dst, out_ptr)
+    return _path_triangles(g, src, dst, out_ptr)
 
 
 def clustering(g: Graph) -> tuple[float, float, int]:
@@ -294,6 +266,12 @@ def _bfs_batch(g: Graph, sources: np.ndarray) -> tuple[int, np.ndarray]:
     return total, seen
 
 
+def _check_sample_fraction(sample_fraction: float | None) -> None:
+    """Raise ValueError unless ``sample_fraction`` is None (exact) or in (0, 1]."""
+    if sample_fraction is not None and not 0 < sample_fraction <= 1:
+        raise ValueError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
+
+
 def average_path_length(g: Graph, *, sample_fraction: float | None = None, seed: int = 0) -> float:
     """Mean shortest-path hop count of a connected graph.
 
@@ -310,12 +288,11 @@ def average_path_length(g: Graph, *, sample_fraction: float | None = None, seed:
     v = g.node_count
     if v < 2:
         raise ValueError("average path length needs at least 2 nodes")
+    _check_sample_fraction(sample_fraction)
 
     if sample_fraction is None:
         sources = np.arange(v)
     else:
-        if not 0 < sample_fraction <= 1:
-            raise ValueError(f"sample_fraction must be in (0, 1], got {sample_fraction}")
         k = math.ceil(sample_fraction * v)
         sources = np.random.default_rng(seed).choice(v, size=k, replace=False)
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .affiliation import compare_window
 from .dsg import DataSharingGraph, build_dsg, weight_distribution
-from .metrics import MetricsReport, degree_distribution, small_world_report
+from .metrics import MetricsReport, _check_sample_fraction, degree_distribution, small_world_report
 from .shuffle import PRNG_NAME, NullModelComparison, replicate_seed
 from .trace import Trace, TimeWindow, summarize, window_slices
 
@@ -127,8 +127,7 @@ class SweepSpec:
             raise ValueError("window lengths must be positive")
         if any(t < 1 for t in self.thresholds):
             raise ValueError("thresholds must be >= 1")
-        if self.sample_fraction is not None and not 0 < self.sample_fraction <= 1:
-            raise ValueError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
+        _check_sample_fraction(self.sample_fraction)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dsg import build_dsg, weight_distribution
 from .errors import EmptyTraceError
-from .metrics import MetricsReport, small_world_report
+from .metrics import MetricsReport, _check_sample_fraction, small_world_report
 from .trace import TimeWindow, Trace, slice_window
 
 VARIANTS = ("ST1", "ST2", "ST3")
@@ -150,6 +150,7 @@ def null_model_comparison(
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    _check_sample_fraction(sample_fraction)
     if not len(trace):
         raise EmptyTraceError("cannot compare an empty trace")
 

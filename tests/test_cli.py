@@ -698,6 +698,11 @@ _EMPTY, _CORRUPT = "", GZIP_TRACE[:len(GZIP_TRACE) // 2]
     pytest.param(_CORRUPT, ["nullmodel"], EXIT_PARSE, id="nullmodel-parse"),
     pytest.param(SIX_RECORD_CSV, ["nullmodel", "--modes", "ST9"], EXIT_PRECONDITION,
                  id="nullmodel-unknown-mode"),
+    # Three users with no item in common: no path length is measured, so the
+    # fraction must be checked before anything is built.
+    pytest.param("u1,i1,0\nu2,i2,5\nu3,i3,9\n",
+                 ["nullmodel", "--path-mode", "sampled", "--path-fraction", "5", "--replicates", "1"],
+                 EXIT_PRECONDITION, id="nullmodel-path-fraction"),
     pytest.param(None, ["synth", "--users", "0"], EXIT_PRECONDITION, id="synth-no-users"),
     pytest.param(None, ["synth", "--span", "0"], EXIT_PRECONDITION, id="synth-zero-span"),
     pytest.param(None, ["synth", "--clustered", "--groups", "2"], EXIT_PRECONDITION,
@@ -712,6 +717,19 @@ def test_a_failed_run_writes_no_file(tmp_path, capsys, data, argv, code):
     assert main([*argv, "-o", str(out)]) == code
     assert list(out.iterdir()) == []
     assert capsys.readouterr().out == ""
+
+
+def test_running_out_of_memory_is_a_precondition_exit(tmp_path, monkeypatch, capsys):
+    def exhausted(trace):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli_module.pipeline, "summary_rows", exhausted)
+    path = tmp_path / "t.csv"
+    path.write_text(SIX_RECORD_CSV)
+    out = tmp_path / "out"
+    assert main(["summary", str(path), "-o", str(out)]) == EXIT_PRECONDITION
+    assert list(out.iterdir()) == []
+    assert capsys.readouterr().err == "error: Unable to allocate 745. GiB for an array\n"
 
 
 # --- module entry point ---

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sharegraph import gnm_random_graph
-from sharegraph.graph import symmetric_csr
+from sharegraph.graph import _runs, symmetric_csr
 from helpers import edges, graph, oracle_components
 
 
@@ -19,6 +21,21 @@ def test_symmetric_csr_mirrors_the_upper_pairs_and_their_values():
     assert indices.tolist() == [1, 3, 0, 2, 1, 3, 0, 2]
     assert entry_values.tolist() == [5, 6, 5, 7, 7, 8, 6, 8]
     assert [x.tolist() for x in symmetric_csr(5, a, b)] == [indptr.tolist(), indices.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 20), max_size=30), st.integers(1, 40), st.integers(1, 8))
+def test_runs_are_the_longest_that_keep_the_rules(sizes, budget, most):
+    before = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    runs = list(_runs(before, budget, most))
+    bounds = [0] + [hi for _, hi in runs]
+    assert runs == list(zip(bounds[:-1], bounds[1:]))  # contiguous and in order
+    assert bounds[-1] == len(sizes)  # every row
+    for lo, hi in runs:
+        assert 1 <= hi - lo <= most
+        assert before[hi] - before[lo] <= budget or hi - lo == 1
+        if hi < len(sizes):  # taking the next row too would break a rule
+            assert hi + 1 - lo > most or before[hi + 1] - before[lo] > budget
 
 
 def test_isolated_nodes_kept_when_listed():

@@ -152,18 +152,18 @@ def test_packed_sums_stay_exact_at_the_widest_slab(monkeypatch):
     # Every packed word all ones, so each edge's AND keeps all 64 * 128 bits
     # of its rows, and BLOCK so large that one slab holds all 128 words: each
     # edge's float32 product sums to 8,192, past 2,048, where float16 stops
-    # being exact. At the real BLOCK a slab is at most BLOCK words wide, so a
-    # sum is at most 64 * BLOCK, below 2^24, up to which float32 is exact.
+    # being exact, and each node gets half the sum over its edges. At the
+    # real BLOCK a slab is at most BLOCK words wide, so a sum is at most
+    # 64 * BLOCK, below 2^24, up to which float32 is exact.
     assert 64 * metrics_module.BLOCK < 2**24
     words = 128
     g = gnm_random_graph(64 * words, 300, seed=0)
     monkeypatch.setattr(metrics_module, "BLOCK", g.node_count * words)
     monkeypatch.setattr(metrics_module, "_pack_slab",
                         lambda g, slab, *runs: slab.fill(np.iinfo(np.uint64).max))
-    src, dst, _, _ = metrics_module._orient(g)
-    support = metrics_module._packed_support(g, src, dst)
-    assert support.dtype == np.int64
-    assert support.tolist() == [64 * words] * g.edge_count
+    tri = metrics_module._packed_triangles(g, *metrics_module._orient(g)[:3])
+    assert tri.dtype == np.int64
+    assert tri.tolist() == (g.degrees() * 64 * words // 2).tolist()
 
 
 def test_kernel_rule_weighs_a_path_as_three_and_a_half_words():
@@ -256,7 +256,7 @@ def test_sparse_graph_takes_the_path_pass_in_bounded_memory(monkeypatch):
     def refuse(*args):
         raise AssertionError("a sparse graph went to the packed kernel")
 
-    monkeypatch.setattr(metrics_module, "_packed_support", refuse)
+    monkeypatch.setattr(metrics_module, "_packed_triangles", refuse)
     g = gnm_random_graph(50_000, 100_000, seed=0)
     _, peak = _triangles_peak(g)
     assert peak < 8 * 2**20
