@@ -23,8 +23,7 @@ contributed by correlated user preferences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -34,8 +33,7 @@ from .metrics import clustering
 from .trace import Trace, _run_starts
 
 
-@dataclass(frozen=True)
-class BipartiteAffiliation:
+class BipartiteAffiliation(NamedTuple):
     """Empirical bipartite degree data for one window.
 
     ``p`` maps j -> fraction of users requesting exactly j distinct items;
@@ -48,8 +46,7 @@ class BipartiteAffiliation:
     q: dict[int, float]
 
 
-@dataclass(frozen=True)
-class AffiliationPrediction:
+class AffiliationPrediction(NamedTuple):
     """Model predictions next to measured projection values.
 
     Measured fields are NaN until filled in by compare_window. There are two
@@ -171,8 +168,7 @@ def compare_window(
         measured_cc = math.nan
         flags.append("empty_projection")
 
-    prediction = replace(
-        theory,
+    prediction = theory._replace(
         avg_degree_measured=measured_degree,
         avg_degree_measured_all_users=2 * e / bipartite.user_count,
         clustering_measured=measured_cc,

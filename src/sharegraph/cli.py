@@ -21,6 +21,7 @@ from pathlib import Path
 from . import __version__, pipeline
 from .dsg import build_dsg
 from .errors import DisconnectedGraphError, EmptyTraceError, TraceParseError
+from .metrics import _check_sample_fraction
 from .pipeline import render_csv
 from .shuffle import ShuffleMode, null_model_comparison, replicate_seed
 from .trace import (
@@ -187,6 +188,9 @@ def _resolve_window(args, trace: Trace) -> tuple[TimeWindow | None, Trace, int |
 
 
 def _sample_fraction(args) -> float | None:
+    """The path-sampling fraction, None in exact mode. --path-fraction is
+    checked in either mode, since the manifest records it in both."""
+    _check_sample_fraction(args.path_fraction)
     return args.path_fraction if args.path_mode == "sampled" else None
 
 
@@ -242,13 +246,14 @@ def cmd_affiliation(args, trace: Trace) -> Outputs:
 
 
 def cmd_nullmodel(args, trace: Trace) -> Outputs:
+    sample_fraction = _sample_fraction(args)
     window, _, _ = _resolve_window(args, trace)
     variants = tuple(v.strip() for v in args.modes.split(",") if v.strip())
     modes = [ShuffleMode(v, seed=replicate_seed(args.seed, i))
              for i, v in enumerate(variants)]
     comparison = null_model_comparison(
         trace, window, args.threshold, modes, replicates=args.replicates,
-        sample_fraction=_sample_fraction(args), path_seed=args.seed,
+        sample_fraction=sample_fraction, path_seed=args.seed,
     )
     return {
         "nullmodel.csv": render_csv(pipeline.NULLMODEL_COLUMNS,

@@ -8,7 +8,7 @@ size of that overlap. Zero-weight pairs and isolated users never appear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class DataSharingGraph(Graph):
                                 self.weights[kept], threshold)
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
+class WeightDistribution(NamedTuple):
     """Histogram of edge weights with median and mean (NaN when empty)."""
 
     counts: dict[int, int]

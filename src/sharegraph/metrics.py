@@ -12,7 +12,7 @@ clustering far exceeds cc_r while its average path length stays near l_r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,8 +222,7 @@ def clustering(g: Graph) -> tuple[float, float, int]:
     return cc1, cc2, triangles
 
 
-@dataclass(frozen=True)
-class DegreeDistribution:
+class DegreeDistribution(NamedTuple):
     """Histogram of node degrees."""
 
     counts: dict[int, int]
@@ -328,8 +327,7 @@ def random_baselines(v: int, e: int) -> tuple[float, float]:
     return cc_r, l_r
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """All measured and baseline quantities for one graph.
 
     Clustering, path length, and the random baselines are computed on the

@@ -9,10 +9,9 @@ byte-identical data files.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +95,9 @@ def manifest_json(command: str, parameters: dict, master_seed: int,
     ``created_utc`` is informational; all data outputs depend only on the
     input digest, seed, and parameters.
     """
+    # Imported here: only a run that writes a manifest needs json.
+    import json
+
     payload = {
         "command": command,
         "parameters": parameters,
@@ -110,17 +112,21 @@ def manifest_json(command: str, parameters: dict, master_seed: int,
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid of window lengths and thresholds to measure."""
-
+class _SweepSpec(NamedTuple):
     window_lengths: tuple[int, ...]
     thresholds: tuple[int, ...]
     origin: int | None = None  # None: align windows to the earliest record
     sample_fraction: float | None = None
     master_seed: int = 0
 
-    def __post_init__(self):
+
+class SweepSpec(_SweepSpec):
+    """Grid of window lengths and thresholds to measure."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.window_lengths or not self.thresholds:
             raise ValueError("window_lengths and thresholds must be non-empty")
         if any(length <= 0 for length in self.window_lengths):
@@ -128,10 +134,13 @@ class SweepSpec:
         if any(t < 1 for t in self.thresholds):
             raise ValueError("thresholds must be >= 1")
         _check_sample_fraction(self.sample_fraction)
+        return self
+
+    # ``_replace`` builds through ``_make``: route it through the check.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     """One cell of the grid: one window of one length, at one threshold."""
 
     window_index: int
@@ -140,8 +149,7 @@ class SweepCell:
     path_seed: int
 
 
-@dataclass(frozen=True)
-class SweepCellResult:
+class SweepCellResult(NamedTuple):
     cell: SweepCell
     report: MetricsReport | None
     error: str | None = None

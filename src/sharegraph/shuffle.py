@@ -17,8 +17,7 @@ and how much reflects correlated user preferences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -33,16 +32,24 @@ VARIANTS = ("ST1", "ST2", "ST3")
 PRNG_NAME = "PCG64"
 
 
-@dataclass(frozen=True)
-class ShuffleMode:
-    """Which trace columns get permuted, and with what seed."""
-
+class _ShuffleMode(NamedTuple):
     variant: str
     seed: int = 0
 
-    def __post_init__(self):
+
+class ShuffleMode(_ShuffleMode):
+    """Which trace columns get permuted, and with what seed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        return self
+
+    # ``_replace`` builds through ``_make``: route it through the check.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def shuffle_trace(trace: Trace, mode: ShuffleMode, window: TimeWindow | None = None) -> Trace:
@@ -84,8 +91,7 @@ def replicate_seed(master_seed: int, replicate: int) -> int:
     return int(state[0])
 
 
-@dataclass(frozen=True)
-class NullModelRow:
+class NullModelRow(NamedTuple):
     """Graph summary for one trace source (real, or one shuffle replicate)."""
 
     source: str
@@ -96,8 +102,7 @@ class NullModelRow:
     report: MetricsReport
 
 
-@dataclass(frozen=True)
-class NullModelComparison:
+class NullModelComparison(NamedTuple):
     """The real trace's row, then each mode's replicate rows in order."""
 
     rows: tuple[NullModelRow, ...]

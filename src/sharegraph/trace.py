@@ -37,7 +37,6 @@ import os
 import stat
 import zlib
 from array import array
-from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -71,16 +70,24 @@ class _Record(NamedTuple):
     timestamp: int
 
 
-@dataclass(frozen=True)
-class TimeWindow:
-    """Half-open interval [start, end) in trace seconds."""
-
+class _TimeWindow(NamedTuple):
     start: int
     end: int
 
-    def __post_init__(self):
+
+class TimeWindow(_TimeWindow):
+    """Half-open interval [start, end) in trace seconds."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.start >= self.end:
             raise ValueError(f"window start must precede end: [{self.start}, {self.end})")
+        return self
+
+    # ``_replace`` builds through ``_make``: route it through the check.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _sorted_codes(names: list[str], codes) -> tuple[tuple[str, ...], np.ndarray]:
@@ -222,8 +229,7 @@ class Trace:
         return self._take(np.argsort(self.timestamps, kind="stable"))
 
 
-@dataclass(frozen=True)
-class TraceSummary:
+class TraceSummary(NamedTuple):
     """Headline counts for one trace: users, requests, distinct items, span."""
 
     user_count: int
@@ -232,16 +238,14 @@ class TraceSummary:
     duration: int
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     """One rejected input line and why it was rejected."""
 
     line_number: int
     reason: str
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     trace: Trace
     rejected: tuple[ParseDiagnostic, ...]
 

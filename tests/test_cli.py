@@ -399,7 +399,11 @@ def test_sweep_starts_at_most_one_worker_per_window(fixture_trace, tmp_path, mon
 def test_importing_the_library_loads_no_multiprocessing_or_test_dependencies():
     # The process pool is imported only for a run with several workers, and
     # numpy is the only runtime dependency: the test extras stay unloaded.
-    unwanted = ("multiprocessing", "scipy", "networkx", "hypothesis", "mpmath")
+    # The result records are NamedTuples: as frozen dataclasses, their
+    # generated methods cost about 19 ms of every start. json is imported by
+    # the manifest writer when it runs.
+    unwanted = ("multiprocessing", "scipy", "networkx", "hypothesis", "mpmath",
+                "dataclasses", "json")
     code = ("import sys, sharegraph, sharegraph.pipeline, sharegraph.cli\n"
             f"print(sorted(m for m in sys.modules if m.split('.')[0] in {unwanted!r}))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -467,7 +471,7 @@ def test_sweep_results_hold_no_trace():
     results = pipeline.run_sweep(trace, spec)
     assert len(results) == 3 * 2
     for result in results:
-        assert not any(isinstance(value, Trace) for value in vars(result.cell).values())
+        assert not any(isinstance(value, Trace) for value in result.cell)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -508,13 +512,18 @@ def test_sweep_grid_and_worker_count_are_validated():
         pipeline.run_sweep(trace, pipeline.SweepSpec((10,), (1,)), workers=0)
 
 
-@pytest.mark.parametrize("fraction", ["0", "1.5", "nan"])
-def test_sweep_rejects_path_fraction_outside_unit_interval(fixture_trace, tmp_path, fraction):
+# The manifest records --path-fraction in exact mode too, so it is checked there as well.
+@pytest.mark.parametrize("mode, fraction", [
+    *(pytest.param("sampled", f, id=f) for f in ("0", "1.5", "nan")),
+    *(pytest.param("exact", f, id=f"exact-{f}") for f in ("-3", "0", "1.5", "nan")),
+])
+def test_sweep_rejects_path_fraction_outside_unit_interval(fixture_trace, tmp_path, mode,
+                                                           fraction):
     out = tmp_path / "out"
     assert main(["sweep", str(fixture_trace), "--lengths", "10", "--thresholds", "1",
-                 "--path-mode", "sampled", "--path-fraction", fraction,
+                 "--path-mode", mode, "--path-fraction", fraction,
                  "-o", str(out)]) == EXIT_PRECONDITION
-    assert not (out / "metrics.csv").exists()
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("lengths,thresholds", [("0", "1"), ("10", "0")],
@@ -703,6 +712,8 @@ _EMPTY, _CORRUPT = "", GZIP_TRACE[:len(GZIP_TRACE) // 2]
     pytest.param("u1,i1,0\nu2,i2,5\nu3,i3,9\n",
                  ["nullmodel", "--path-mode", "sampled", "--path-fraction", "5", "--replicates", "1"],
                  EXIT_PRECONDITION, id="nullmodel-path-fraction"),
+    pytest.param(SIX_RECORD_CSV, ["nullmodel", "--path-fraction", "-3", "--replicates", "1"],
+                 EXIT_PRECONDITION, id="nullmodel-exact-path-fraction"),
     pytest.param(None, ["synth", "--users", "0"], EXIT_PRECONDITION, id="synth-no-users"),
     pytest.param(None, ["synth", "--span", "0"], EXIT_PRECONDITION, id="synth-zero-span"),
     pytest.param(None, ["synth", "--clustered", "--groups", "2"], EXIT_PRECONDITION,

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -412,7 +411,7 @@ _METHODS = ((None, "exact"), (0.5, "sampled(fraction=0.5,seed=4)"))
 
 def _fields(report: MetricsReport) -> dict:
     """Every field of a report; repr() makes NaN equal NaN, and 0.0 unequal 0."""
-    return {name: repr(value) for name, value in dataclasses.asdict(report).items()}
+    return {name: repr(value) for name, value in report._asdict().items()}
 
 
 def test_report_empty_graph_flagged():
